@@ -280,6 +280,42 @@ func BenchmarkCheckSafeObserved(b *testing.B) {
 	}
 }
 
+// distinctApps is the number of pre-generated firehose apps
+// BenchmarkCheckSafeDistinctApps cycles through.
+const distinctApps = 2048
+
+var (
+	distinctOnce sync.Once
+	distinct     []*core.App
+)
+
+// BenchmarkCheckSafeDistinctApps is the many-distinct-apps counterpart
+// of BenchmarkCheckSafeSingleApp: one checker, as in a long-lived
+// worker, analyzes a different firehose app on every op, so its pooled
+// per-app arena sees new class and method names each time. Retained
+// arena state that grows with the number of distinct apps seen shows
+// up here and not in the warm single-app figure.
+func BenchmarkCheckSafeDistinctApps(b *testing.B) {
+	distinctOnce.Do(func() {
+		fh := synth.NewFirehose(1)
+		for i := int64(0); i < distinctApps; i++ {
+			gen, err := fh.App(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			distinct = append(distinct, gen.App)
+		}
+	})
+	checker := core.NewChecker()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := checker.CheckSafe(ctx, distinct[i%len(distinct)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPolicyAnalysis measures the six-step policy pipeline on one
 // generated policy.
 func BenchmarkPolicyAnalysis(b *testing.B) {

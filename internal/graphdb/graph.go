@@ -2,7 +2,7 @@
 // paper stores the Android Property Graph in a graph database and
 // answers every static-analysis question as a graph query; this package
 // provides the same contract: labelled nodes with string properties,
-// labelled edges, property indexes, traversals, reachability, and path
+// labelled edges, property lookups, traversals, reachability, and path
 // search.
 //
 // The package has two layers. *Graph is the mutable build-time
@@ -74,14 +74,10 @@ type Graph struct {
 	// so a slice replaces the former map[NodeID]*Node, every iteration
 	// is ID-ordered by construction, and there is no per-node heap
 	// object — Node pointers handed out point into this backing array.
-	nodes   []Node
-	out     [][]Edge
-	in      [][]Edge
-	byLabel map[string][]NodeID
-	// indexes[key][value] lists nodes with Props.Get(key)==value, for
-	// keys registered via CreateIndex. Slices are ID-sorted because
-	// nodes are indexed in insertion order.
-	indexes   map[string]map[string][]NodeID
+	nodes     []Node
+	out       [][]Edge
+	in        [][]Edge
+	byLabel   map[string][]NodeID
 	edgeCount int
 
 	// propCur/propFull/propSpare form a chunked arena holding node
@@ -103,10 +99,7 @@ const propBlockSize = 512
 
 // New creates an empty graph.
 func New() *Graph {
-	return &Graph{
-		byLabel: map[string][]NodeID{},
-		indexes: map[string]map[string][]NodeID{},
-	}
+	return &Graph{byLabel: map[string][]NodeID{}}
 }
 
 // node returns the node for id, or nil when out of range.
@@ -118,13 +111,15 @@ func (g *Graph) node(id NodeID) *Node {
 }
 
 // Reset clears the graph for rebuilding while keeping every allocated
-// buffer: node storage, per-node adjacency runs, label lists, index
-// buckets, and the arrays of the last Frozen view (which the next
-// Freeze reuses). Registered indexes stay registered. Reset invalidates
-// everything previously obtained from this graph — *Node pointers,
-// Frozen views, and slices they returned — so it is only for
-// arena-style reuse where the previous analysis is completely finished,
-// e.g. one worker re-analysing app after app.
+// buffer: node storage, per-node adjacency runs, label lists, and the
+// arrays of the last Frozen view (which the next Freeze reuses). What
+// it retains is bounded by the largest graph built so far plus one
+// label-list entry per distinct node label, so Reset and the next
+// Freeze cost O(the next graph) however many graphs came before.
+// Reset invalidates everything previously obtained from this graph —
+// *Node pointers, Frozen views, and slices they returned — so it is
+// only for arena-style reuse where the previous analysis is completely
+// finished, e.g. one worker re-analysing app after app.
 func (g *Graph) Reset() {
 	clear(g.nodes) // release retained label/property strings
 	g.nodes = g.nodes[:0]
@@ -134,11 +129,6 @@ func (g *Graph) Reset() {
 	g.in = g.in[:0]
 	for label, ids := range g.byLabel {
 		g.byLabel[label] = ids[:0]
-	}
-	for _, byVal := range g.indexes {
-		for v, ids := range byVal {
-			byVal[v] = ids[:0]
-		}
 	}
 	g.edgeCount = 0
 	for _, b := range g.propFull {
@@ -213,14 +203,6 @@ func (g *Graph) addNode(label string, kv []string) NodeID {
 	g.out = growAdj(g.out)
 	g.in = growAdj(g.in)
 	g.byLabel[label] = append(g.byLabel[label], id)
-	for key, byVal := range g.indexes {
-		for i := 0; i+1 < len(kv); i += 2 {
-			if kv[i] == key {
-				byVal[kv[i+1]] = append(byVal[kv[i+1]], id)
-				break
-			}
-		}
-	}
 	return id
 }
 
@@ -276,34 +258,19 @@ func (g *Graph) NodesByLabel(label string) []NodeID {
 	return append([]NodeID(nil), g.byLabel[label]...)
 }
 
-// CreateIndex registers a property key for indexed lookup; existing
-// nodes are back-filled in ID order, so indexed lookups return
-// ID-sorted slices.
-func (g *Graph) CreateIndex(key string) {
-	if _, ok := g.indexes[key]; ok {
-		return
-	}
-	byVal := map[string][]NodeID{}
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.Props.Has(key) {
-			v := n.Props.Get(key)
-			byVal[v] = append(byVal[v], n.ID)
-		}
-	}
-	g.indexes[key] = byVal
+// FindByProp returns, in ascending ID order, the nodes that have
+// property key with the given value. A node without key never matches,
+// not even value "".
+func (g *Graph) FindByProp(key, value string) []NodeID {
+	return findByProp(g.nodes, key, value)
 }
 
-// FindByProp returns nodes whose property key equals value, using the
-// index when available and a label-agnostic ID-ordered scan otherwise.
-func (g *Graph) FindByProp(key, value string) []NodeID {
-	if byVal, ok := g.indexes[key]; ok {
-		return append([]NodeID(nil), byVal[value]...)
-	}
+// findByProp is the ID-ordered property scan shared by both views.
+func findByProp(nodes []Node, key, value string) []NodeID {
 	var out []NodeID
-	for i := range g.nodes {
-		if g.nodes[i].Props.Get(key) == value {
-			out = append(out, g.nodes[i].ID)
+	for i := range nodes {
+		if p := nodes[i].Props; p.Has(key) && p.Get(key) == value {
+			out = append(out, nodes[i].ID)
 		}
 	}
 	return out

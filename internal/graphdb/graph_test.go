@@ -40,18 +40,41 @@ func TestAddAndLookup(t *testing.T) {
 	}
 }
 
-func TestIndexConsistentWithScan(t *testing.T) {
+// TestFindByPropSeesNewNodes: the property scan answers from the
+// current node set, so nodes added after an earlier lookup are found.
+func TestFindByPropSeesNewNodes(t *testing.T) {
 	g, ids := buildSample(t)
-	scan := g.FindByProp("name", "helper")
-	g.CreateIndex("name")
-	indexed := g.FindByProp("name", "helper")
-	if len(scan) != 1 || len(indexed) != 1 || scan[0] != indexed[0] {
-		t.Fatalf("scan %v vs indexed %v", scan, indexed)
+	if got := g.FindByProp("name", "helper"); !sameIDs(got, []NodeID{ids["helper"]}) {
+		t.Fatalf("FindByProp = %v", got)
 	}
-	// New nodes keep the index fresh.
 	id := g.AddNode("method", map[string]string{"name": "helper"})
-	if got := g.FindByProp("name", "helper"); len(got) != 2 {
-		t.Fatalf("index missed new node: %v (want 2, got ids %v %v)", got, id, ids["helper"])
+	if got := g.FindByProp("name", "helper"); !sameIDs(got, []NodeID{ids["helper"], id}) {
+		t.Fatalf("FindByProp after insert = %v, want [%d %d]", got, ids["helper"], id)
+	}
+}
+
+// TestFindByPropMissingKeyVsEmptyValue: a lookup for value "" matches
+// only nodes that carry key with an empty value, never nodes that lack
+// key, on both the mutable and the frozen view.
+func TestFindByPropMissingKeyVsEmptyValue(t *testing.T) {
+	g := New()
+	empty := g.AddNodeKV("m", "name", "")
+	g.AddNodeKV("m", "other", "x")
+	g.AddNode("m", nil)
+	named := g.AddNodeKV("m", "name", "a")
+	fz := g.Freeze()
+	for view, find := range map[string]func(string, string) []NodeID{
+		"graph": g.FindByProp, "frozen": fz.FindByProp,
+	} {
+		if got := find("name", ""); !sameIDs(got, []NodeID{empty}) {
+			t.Errorf("%s FindByProp(name, \"\") = %v, want [%d]", view, got, empty)
+		}
+		if got := find("name", "a"); !sameIDs(got, []NodeID{named}) {
+			t.Errorf("%s FindByProp(name, a) = %v, want [%d]", view, got, named)
+		}
+		if got := find("nosuch", ""); len(got) != 0 {
+			t.Errorf("%s FindByProp(nosuch, \"\") = %v, want none", view, got)
+		}
 	}
 }
 
@@ -223,11 +246,16 @@ func TestReachableFromUnknownSeed(t *testing.T) {
 	}
 }
 
-func TestCreateIndexIdempotent(t *testing.T) {
+// TestFindByPropFreshSlices: repeated lookups agree, and each returns
+// a fresh slice the caller may mutate without affecting the graph.
+func TestFindByPropFreshSlices(t *testing.T) {
 	g, ids := buildSample(t)
-	g.CreateIndex("name")
-	g.CreateIndex("name") // second call is a no-op
-	if got := g.FindByProp("name", "main"); len(got) != 1 || got[0] != ids["main"] {
-		t.Fatalf("FindByProp = %v", got)
+	first := g.FindByProp("name", "main")
+	if !sameIDs(first, []NodeID{ids["main"]}) {
+		t.Fatalf("FindByProp = %v", first)
+	}
+	first[0] = 999
+	if got := g.FindByProp("name", "main"); !sameIDs(got, []NodeID{ids["main"]}) {
+		t.Fatalf("FindByProp after caller mutation = %v", got)
 	}
 }

@@ -11,13 +11,14 @@
 #
 # The gated set is the observability- and performance-critical path:
 # the end-to-end CheckSafe pair (uninstrumented vs observed — their
-# ratio is the observer overhead), the frozen-CSR graph query mix and
-# the Aho-Corasick lexicon screen (the two hot substrates under the
-# pipeline), the ESA Similarity benches (warm = memoized vector path,
-# cold = fresh interpretation, reference = legacy map path), the obs
-# span microbenches, and the Table IV outcome bench whose custom
-# metrics pin the paper's inconsistency precision/recall
-# (-benchtime=1x: outcome run, ns/op not gated).
+# ratio is the observer overhead) and its distinct-apps counterpart
+# (one checker cycling 2 048 different apps), the frozen-CSR graph
+# query mix and the Aho-Corasick lexicon screen (the two hot
+# substrates under the pipeline), the ESA Similarity benches (warm =
+# memoized vector path, cold = fresh interpretation, reference =
+# legacy map path), the obs span microbenches, and the Table IV
+# outcome bench whose custom metrics pin the paper's inconsistency
+# precision/recall (-benchtime=1x: outcome run, ns/op not gated).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

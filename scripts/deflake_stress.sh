@@ -3,10 +3,11 @@
 # the race detector to prove the synchronization fixes hold: the
 # stream backpressure/soak/journal tests, the serve admission/drain
 # tests, the concurrency hammers for frozen-graph reads and pooled
-# per-app arena reuse, and the distributed-tier lease/renewal/failover
-# tests run COUNT times each (50 by default, override with COUNT=n or
-# $1); the multi-process dist SIGKILL soak and the chaos suite (short
-# subset) run COUNT/10 times. Any single failure fails the script.
+# per-app arena reuse, the graph Reset-vs-fresh differential, and the
+# distributed-tier lease/renewal/failover tests run COUNT times each
+# (50 by default, override with COUNT=n or $1); the multi-process dist
+# SIGKILL soak and the chaos suite (short subset) run COUNT/10 times.
+# Any single failure fails the script.
 #
 #   scripts/deflake_stress.sh          # 50 iterations
 #   COUNT=200 scripts/deflake_stress.sh
@@ -25,7 +26,7 @@ go test ./internal/serve/ -race -count="${COUNT}" -short \
     -run 'TestServeGracefulDrain|TestServeConcurrentClients|TestServeCheckHistory'
 
 go test ./internal/graphdb/ ./internal/core/ -race -count="${COUNT}" \
-    -run 'TestFrozenConcurrentReads|TestCheckSafeConcurrentArenaReuse'
+    -run 'TestFrozenConcurrentReads|TestResetMatchesFreshGraph|TestCheckSafeConcurrentArenaReuse'
 
 # The distributed tier's timing-sensitive surfaces: lease expiry +
 # reassignment + duplicate rejection, the renewal heartbeat protocol
