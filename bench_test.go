@@ -442,7 +442,11 @@ func BenchmarkSummaryParallel(b *testing.B) {
 	b.ResetTimer()
 	var s eval.SummaryStats
 	for i := 0; i < b.N; i++ {
-		s = eval.EvaluateCorpusParallel(ds, 0).Summary()
+		res, _, err := eval.EvaluateCorpusRobust(context.Background(), ds, eval.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s = res.Summary()
 	}
 	b.ReportMetric(float64(s.AppsWithProblem), "apps-with-problem")
 	b.ReportMetric(float64(len(ds.Apps))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")

@@ -196,6 +196,61 @@ func TestSkippedReportRequeues(t *testing.T) {
 	}
 }
 
+// TestMalformedReportRejected: a report whose outcome the fold does
+// not know, or whose retry count is negative, is answered 400 before
+// it touches any state — no journal record, no done mark, the lease
+// still outstanding — and the real report still lands afterwards.
+func TestMalformedReportRejected(t *testing.T) {
+	j, _, err := stream.OpenJournal(filepath.Join(t.TempDir(), "dist.journal"), "dist-test", stream.JournalOptions{FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	c := NewCoordinator(CoordinatorOptions{Source: stream.NewFirehoseSource(6, 1), Journal: j})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	lease, _ := postLease(t, srv.URL, "w")
+	for _, bad := range []struct {
+		outcome string
+		retries int
+	}{
+		{"bogus", -3},
+		{"", 0},
+		{eval.OutcomeChecked.String(), -1},
+	} {
+		body, _ := json.Marshal(ReportRequest{
+			LeaseID: lease.LeaseID, Worker: "w", Name: lease.Name, Hash: lease.Hash,
+			Outcome: bad.outcome, Retries: bad.retries,
+		})
+		resp, err := http.Post(srv.URL+"/report", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("outcome %q retries %d: status %d, want 400", bad.outcome, bad.retries, resp.StatusCode)
+		}
+	}
+	snap := c.StatsSnapshot()
+	if snap.Apps != 0 || snap.Retried != 0 || snap.Done || snap.Outstanding != 1 {
+		t.Fatalf("malformed reports changed state: %+v", snap)
+	}
+	if records, _ := j.Stats(); records != 0 {
+		t.Fatalf("malformed reports journaled %d records", records)
+	}
+
+	if rr := postReport(t, srv.URL, ReportRequest{
+		LeaseID: lease.LeaseID, Worker: "w", Name: lease.Name, Hash: lease.Hash,
+		Outcome: eval.OutcomeChecked.String(),
+	}); !rr.Accepted {
+		t.Fatalf("valid report after rejections: %+v", rr)
+	}
+	if snap := c.StatsSnapshot(); snap.Apps != 1 || snap.Checked != 1 || !snap.Done {
+		t.Fatalf("valid report not folded: %+v", snap)
+	}
+}
+
 // TestCoordinatorJournalResume: kill the coordinator after a partial
 // run (worker stops at MaxApps, coordinator discarded); a fresh
 // coordinator over the reopened journal leases only the remainder and

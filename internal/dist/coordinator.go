@@ -152,20 +152,7 @@ func (c *Coordinator) takeLocked() *workItem {
 				}
 				// Stale checkpoint — the inputs changed. Fold the old
 				// outcome back out and lease the item afresh.
-				c.stats.Reanalyzed++
-				c.stats.Apps--
-				c.stats.Retried -= rec.Retries
-				switch rec.Outcome {
-				case eval.OutcomeChecked.String():
-					c.stats.Checked--
-				case eval.OutcomeDegraded.String():
-					c.stats.Degraded--
-				case eval.OutcomeFailed.String():
-					c.stats.Failed--
-				case eval.OutcomeSkipped.String():
-					c.stats.Skipped--
-				}
-				c.stats.Replayed--
+				c.stats.Reanalyze(rec)
 				delete(c.done, item.Name)
 			}
 		}
@@ -374,6 +361,14 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
+	// Validate before touching any state: a report the fold cannot
+	// count must not journal, mark the app done or release its lease.
+	outcome, ok := eval.ParseOutcome(req.Outcome)
+	if !ok || req.Retries < 0 {
+		serve.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("bad report: outcome %q, retries %d", req.Outcome, req.Retries))
+		return
+	}
 
 	c.mu.Lock()
 	l, held := c.outstanding[req.LeaseID]
@@ -391,7 +386,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, ReportResponse{Accepted: false, Duplicate: true})
 		return
 	}
-	if req.Outcome == eval.OutcomeSkipped.String() {
+	if outcome == eval.OutcomeSkipped {
 		// The worker abandoned the app (dying context); put the item
 		// back so a live worker redoes it — mirroring stream.Run,
 		// where skipped apps are never journaled and always
@@ -439,16 +434,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 
 	c.mu.Lock()
 	c.folding--
-	c.stats.Apps++
-	c.stats.Retried += req.Retries
-	switch req.Outcome {
-	case eval.OutcomeChecked.String():
-		c.stats.Checked++
-	case eval.OutcomeDegraded.String():
-		c.stats.Degraded++
-	case eval.OutcomeFailed.String():
-		c.stats.Failed++
-	}
+	c.stats.Count(outcome, req.Retries)
 	if req.Quarantined {
 		c.stats.Quarantined++
 	}

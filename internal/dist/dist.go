@@ -14,10 +14,9 @@
 //	             stream.Stats, and journals every completed app so a
 //	             killed coordinator resumes bit-identically, exactly
 //	             like a single-process run.
-//	Worker       a thin wrapper over the existing eval.CheckApp
-//	             pipeline: pull a lease, rebuild the item with
-//	             stream.SpecResolver, analyze on a local checker,
-//	             report the outcome. Workers hold no corpus state; a
+//	Worker       eval.Pool workers fed by leases: pull a lease,
+//	             rebuild the item with stream.SpecResolver, analyze it
+//	             on the goroutine's own checker, report the outcome. Workers hold no corpus state; a
 //	             SIGKILLed worker costs only its outstanding leases,
 //	             which expire and are re-leased to the survivors.
 //	Shards       the coordinator hosts the longi artifact store and the

@@ -175,9 +175,10 @@ func (f followerStore) Put(stage, key string, data []byte) error {
 }
 
 // RunWorker pulls leases from a coordinator until the run completes
-// (410), the lease budget MaxApps is spent, or ctx dies. It is a thin
-// distributed wrapper over eval.CheckApp: the worker holds no corpus
-// state, so killing it costs only its outstanding leases.
+// (410), the lease budget MaxApps is spent, or ctx dies. Its goroutines
+// are eval.Pool workers fed by leases instead of a local queue: the
+// worker holds no corpus state, so killing it costs only its
+// outstanding leases.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	opts = opts.withDefaults()
 	set := newCoordSet(opts.Coordinators)
@@ -223,44 +224,30 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		defer esa.Default().SetVecBacking(nil)
 	}
 
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esa.NewStatScope()))
-
-	attempt := eval.AttemptOptions{
+	pool := eval.NewPool(opts.CheckerOptions, libCache, opts.Observer, eval.AttemptOptions{
 		Timeout:      opts.PerAppTimeout,
 		MaxRetries:   opts.MaxRetries,
 		RetryBackoff: opts.RetryBackoff,
 		BackoffMax:   opts.RetryBackoffMax,
 		Jitter:       opts.RetryJitter,
-	}
+	})
 
 	var (
 		stats    WorkerStats
 		accepted atomic.Int64
 		resolver = stream.NewSpecResolver()
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		loopErr  error
 	)
-	for g := 0; g < opts.Concurrency; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			checker := core.NewChecker(checkerOpts...)
-			if err := workerLoop(ctx, opts, set, checker, resolver, attempt, &stats, &accepted); err != nil {
-				errMu.Lock()
-				if loopErr == nil {
-					loopErr = err
-				}
-				errMu.Unlock()
+	pool.Run(opts.Concurrency, func(w *eval.Worker) {
+		if err := workerLoop(ctx, opts, set, w, resolver, &stats, &accepted); err != nil {
+			errMu.Lock()
+			if loopErr == nil {
+				loopErr = err
 			}
-		}()
-	}
-	wg.Wait()
+			errMu.Unlock()
+		}
+	})
 
 	if opts.UseRemoteCache {
 		stats.RemoteHits, stats.RemoteFails = libCache.BackingStats()
@@ -272,7 +259,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 
 // workerLoop is one lease-pull goroutine.
 func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
-	checker *core.Checker, resolver *stream.SpecResolver, attempt eval.AttemptOptions,
+	w *eval.Worker, resolver *stream.SpecResolver,
 	stats *WorkerStats, accepted *atomic.Int64) error {
 
 	// Renew goroutines for leases this loop holds; waited out on return
@@ -340,7 +327,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		if opts.PerAppDelay > 0 {
 			sleepCtx(ctx, opts.PerAppDelay)
 		}
-		rep, outcome, retries := eval.CheckApp(ctx, checker, item.Name, item.Run, attempt)
+		r := w.Check(ctx, item.Name, item.Run, false)
 		if stopRenew != nil {
 			close(stopRenew)
 		}
@@ -350,11 +337,11 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			// copy — the resume contract hashes what was analyzed.
 			Name:        item.Name,
 			Hash:        item.Hash,
-			Outcome:     outcome.String(),
-			Retries:     retries,
-			Partial:     rep != nil && rep.Partial,
-			Quarantined: false,
-			Exhausted:   attempt.Exhausted(outcome, rep, retries),
+			Outcome:     r.Outcome.String(),
+			Retries:     r.Retries,
+			Partial:     r.Report.Partial,
+			Quarantined: r.Quarantined,
+			Exhausted:   r.Exhausted,
 		})
 	}
 }

@@ -25,7 +25,7 @@ func TestEvaluateCorpusDirToleratesCorruptBundle(t *testing.T) {
 	if err := bundle.WriteDataset(small, dir); err != nil {
 		t.Fatal(err)
 	}
-	base, err := EvaluateCorpusDir(dir)
+	base, _, err := EvaluateCorpusDirRobust(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEvaluateCorpusDirToleratesCorruptBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := EvaluateCorpusDir(dir)
+	res, _, err := EvaluateCorpusDirRobust(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("corrupt bundle aborted the run: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestEvaluateCorpusDirMissingFiles(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "apps", victim, "policy.html")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateCorpusDir(dir)
+	res, _, err := EvaluateCorpusDirRobust(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := EvaluateCorpus(ds)
-	parallel := EvaluateCorpusParallel(ds, 4)
+	parallel, _, err := EvaluateCorpusRobust(context.Background(), ds, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(serial.Reports) != len(parallel.Reports) {
 		t.Fatalf("report counts differ: %d vs %d", len(serial.Reports), len(parallel.Reports))
 	}
@@ -78,7 +81,10 @@ func TestParallelWorkerClamping(t *testing.T) {
 	}
 	small := &synth.Dataset{Apps: ds.Apps[:3], LibPolicies: ds.LibPolicies}
 	for _, workers := range []int{-1, 0, 1, 100} {
-		res := EvaluateCorpusParallel(small, workers)
+		res, _, err := EvaluateCorpusRobust(context.Background(), small, RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.Reports) != 3 {
 			t.Fatalf("workers=%d: %d reports", workers, len(res.Reports))
 		}
@@ -97,7 +103,7 @@ func TestEvaluateCorpusDir(t *testing.T) {
 	if err := bundle.WriteDataset(small, dir); err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := EvaluateCorpusDir(dir)
+	fromDisk, _, err := EvaluateCorpusDirRobust(context.Background(), dir, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestEvaluateCorpusDir(t *testing.T) {
 			t.Fatalf("app %s differs from in-memory result", r.App)
 		}
 	}
-	if _, err := EvaluateCorpusDir(filepath.Join(dir, "nonexistent")); err == nil {
+	if _, _, err := EvaluateCorpusDirRobust(context.Background(), filepath.Join(dir, "nonexistent"), RunOptions{}); err == nil {
 		t.Fatal("missing dir accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"ppchecker/internal/bundle"
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/obs"
 	"ppchecker/internal/policy"
 	"ppchecker/internal/synth"
@@ -96,10 +95,9 @@ func DefaultRunOptions() RunOptions {
 }
 
 // Outcome classifies one app's analysis, mapped one-to-one onto the
-// RunStats counters. It is exported so request-scoped callers (the
-// ppserve analysis service) can reuse the corpus runner's per-app
-// attempt machinery — CheckApp — instead of reimplementing the
-// retry/timeout/panic contract.
+// RunStats counters. Every execution mode reports it: the corpus
+// runner, the stream, ppserve and the dist tier all run apps through
+// Pool, and journal records and dist reports carry its wire name.
 type Outcome int
 
 // Per-app outcomes.
@@ -117,27 +115,54 @@ const (
 	OutcomeSkipped
 )
 
-// String returns the outcome's wire name (used in ppserve responses).
+// outcomeNames holds each outcome's wire name, indexed by Outcome.
+var outcomeNames = [...]string{
+	OutcomeChecked:  "checked",
+	OutcomeDegraded: "degraded",
+	OutcomeFailed:   "failed",
+	OutcomeSkipped:  "skipped",
+}
+
+// String returns the outcome's wire name (used in ppserve responses,
+// journal records and dist reports).
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeChecked:
-		return "checked"
-	case OutcomeDegraded:
-		return "degraded"
-	case OutcomeFailed:
-		return "failed"
-	case OutcomeSkipped:
-		return "skipped"
+	if o >= 0 && int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
 	return fmt.Sprintf("outcome(%d)", int(o))
 }
 
-// appJob is one unit of corpus work: an app's name and ground truth
-// plus a closure that produces its report on a worker's checker.
-type appJob struct {
-	name  string
-	truth synth.GroundTruth
-	run   func(ctx context.Context, checker *core.Checker) (*core.Report, error)
+// ParseOutcome is the inverse of String: it maps a wire name back to
+// its outcome, and reports false for any other string.
+func ParseOutcome(name string) (Outcome, bool) {
+	for o, n := range outcomeNames {
+		if n == name {
+			return Outcome(o), true
+		}
+	}
+	return 0, false
+}
+
+// Count folds one app into the stats: it adds the app to Apps and to
+// its outcome's counter, and its retries to Retried.
+func (s *RunStats) Count(o Outcome, retries int) { s.fold(o, retries, 1) }
+
+// Uncount undoes Count for the same app, outcome and retries.
+func (s *RunStats) Uncount(o Outcome, retries int) { s.fold(o, retries, -1) }
+
+func (s *RunStats) fold(o Outcome, retries, sign int) {
+	s.Apps += sign
+	s.Retried += sign * retries
+	switch o {
+	case OutcomeChecked:
+		s.Checked += sign
+	case OutcomeDegraded:
+		s.Degraded += sign
+	case OutcomeFailed:
+		s.Failed += sign
+	case OutcomeSkipped:
+		s.Skipped += sign
+	}
 }
 
 // Job is one unit of work for RunJobs: a named analysis closure plus
@@ -148,18 +173,68 @@ type Job struct {
 	Run   func(ctx context.Context, checker *core.Checker) (*core.Report, error)
 }
 
-// RunJobs drives the robust worker pool — per-worker checkers over a
-// shared analysis cache and ESA stat scope, per-attempt timeouts,
-// bounded retries, prompt cancellation — over arbitrary jobs instead
-// of a Dataset. It is the generalized core of EvaluateCorpusRobust,
-// exported for callers that wrap the pipeline (the longitudinal engine
-// runs every app *version* as one job here).
+// RunJobs drives the analysis pool — per-worker checkers over a shared
+// analysis cache and ESA stat scope, per-attempt timeouts, bounded
+// retries, prompt cancellation — over arbitrary jobs instead of a
+// Dataset. Reports land at their job's index. It is the core of
+// EvaluateCorpusRobust, exported for callers that wrap the pipeline
+// (the longitudinal engine runs every app *version* as one job here).
 func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, RunStats, error) {
-	internal := make([]appJob, len(jobs))
-	for i, j := range jobs {
-		internal[i] = appJob{name: j.Name, truth: j.Truth, run: j.Run}
+	n := len(jobs)
+	var stats RunStats
+	res := &CorpusResult{
+		Reports: make([]*core.Report, n),
+		Truths:  make([]synth.GroundTruth, n),
 	}
-	return runRobust(ctx, internal, opts)
+	for i := range jobs {
+		res.Truths[i] = jobs[i].Truth
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	pool := NewPool(opts.CheckerOptions, opts.SharedAnalysisCache, opts.Observer, AttemptOptions{
+		Timeout:      opts.PerAppTimeout,
+		MaxRetries:   opts.MaxRetries,
+		RetryBackoff: opts.RetryBackoff,
+		BackoffMax:   opts.RetryBackoffMax,
+		Jitter:       opts.RetryJitter,
+	})
+	idxCh := make(chan int)
+	go func() {
+		defer close(idxCh)
+		for i := range jobs {
+			select {
+			case idxCh <- i:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	var mu sync.Mutex
+	pool.Run(workers, func(w *Worker) {
+		for i := range idxCh {
+			r := w.Check(ctx, jobs[i].Name, jobs[i].Run, false)
+			res.Reports[i] = r.Report
+			mu.Lock()
+			stats.Count(r.Outcome, r.Retries)
+			mu.Unlock()
+		}
+	})
+	// Every slot is filled — apps never attempted get a Skipped stub —
+	// so downstream table code needs no nil checks.
+	for i := range res.Reports {
+		if res.Reports[i] == nil {
+			res.Reports[i] = stubReport(jobs[i].Name, ctx.Err())
+			stats.Count(OutcomeSkipped, 0)
+		}
+	}
+	pool.RecordCounters()
+	stats.Metrics = opts.Observer.Snapshot()
+	return res, stats, ctx.Err()
 }
 
 // EvaluateCorpusRobust is the fault-tolerant corpus runner: every app
@@ -167,24 +242,25 @@ func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*CorpusResult, R
 // the run), hard failures get bounded retries, and canceling ctx
 // returns promptly with the remaining apps counted as Skipped. Each
 // report lands at its app's index, so on an all-clean run the result
-// is identical to EvaluateCorpusParallel.
+// is identical to the serial EvaluateCorpus.
 func EvaluateCorpusRobust(ctx context.Context, ds *synth.Dataset, opts RunOptions) (*CorpusResult, RunStats, error) {
-	jobs := make([]appJob, len(ds.Apps))
+	jobs := make([]Job, len(ds.Apps))
 	for i, ga := range ds.Apps {
 		app := ga.App
-		jobs[i] = appJob{
-			name:  app.Name,
-			truth: ga.Truth,
-			run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
+		jobs[i] = Job{
+			Name:  app.Name,
+			Truth: ga.Truth,
+			Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
 				return checker.CheckSafe(ctx, app)
 			},
 		}
 	}
-	return runRobust(ctx, jobs, opts)
+	return RunJobs(ctx, jobs, opts)
 }
 
-// EvaluateCorpusDirRobust evaluates an on-disk corpus the way
-// EvaluateCorpusDir does, but tolerates damage: unreadable or corrupt
+// EvaluateCorpusDirRobust evaluates a corpus written to disk by
+// cmd/ppgen (or bundle.WriteDataset), pairing each app bundle with its
+// stored ground truth. It tolerates damage: unreadable or corrupt
 // bundle files degrade that one app (recorded under StageRead or
 // StageDecode) instead of failing the whole run, and a missing
 // truth.json yields empty ground truth rather than an error.
@@ -200,14 +276,14 @@ func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (
 		}
 	}
 	libsDir := filepath.Join(dir, bundle.DirLibs)
-	jobs := make([]appJob, len(appDirs))
+	jobs := make([]Job, len(appDirs))
 	for i, appDir := range appDirs {
 		appDir := appDir
 		name := filepath.Base(appDir)
-		jobs[i] = appJob{
-			name:  name,
-			truth: truthByPkg[name],
-			run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
+		jobs[i] = Job{
+			Name:  name,
+			Truth: truthByPkg[name],
+			Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
 				app, ferrs := bundle.ReadAppLenient(appDir, libsDir)
 				rep, err := checker.CheckSafe(ctx, app)
 				if rep != nil {
@@ -223,130 +299,7 @@ func EvaluateCorpusDirRobust(ctx context.Context, dir string, opts RunOptions) (
 			},
 		}
 	}
-	return runRobust(ctx, jobs, opts)
-}
-
-// runRobust drives the worker pool over the jobs. Reports land at
-// their job's index; every slot is filled — apps never attempted get a
-// Skipped stub — so downstream table code needs no nil checks.
-func runRobust(ctx context.Context, jobs []appJob, opts RunOptions) (*CorpusResult, RunStats, error) {
-	n := len(jobs)
-	stats := RunStats{Apps: n}
-	res := &CorpusResult{
-		Reports: make([]*core.Report, n),
-		Truths:  make([]synth.GroundTruth, n),
-	}
-	for i := range jobs {
-		res.Truths[i] = jobs[i].truth
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	libCache := opts.SharedAnalysisCache
-	if libCache == nil {
-		libCache = core.NewAnalysisCache()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	// Per-run ESA stat scope: every worker's checker attributes its
-	// interpret-memo traffic here, so concurrent runs sharing the
-	// process-global memo (inevitable under ppserve) don't double-count
-	// each other's hits and misses into both -metrics expositions.
-	esaScope := esa.NewStatScope()
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esaScope))
-	attempt := AttemptOptions{
-		Timeout:      opts.PerAppTimeout,
-		MaxRetries:   opts.MaxRetries,
-		RetryBackoff: opts.RetryBackoff,
-		BackoffMax:   opts.RetryBackoffMax,
-		Jitter:       opts.RetryJitter,
-	}
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			checker := core.NewChecker(checkerOpts...)
-			for i := range idxCh {
-				sp := opts.Observer.Start(string(core.StageRun), jobs[i].name, "")
-				rep, outcome, retries := CheckApp(ctx, checker, jobs[i].name, jobs[i].run, attempt)
-				sp.End(runError(rep, outcome), false)
-				res.Reports[i] = rep
-				mu.Lock()
-				stats.Retried += retries
-				switch outcome {
-				case OutcomeChecked:
-					stats.Checked++
-				case OutcomeDegraded:
-					stats.Degraded++
-				case OutcomeFailed:
-					stats.Failed++
-				case OutcomeSkipped:
-					stats.Skipped++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range jobs {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	for i := range res.Reports {
-		if res.Reports[i] == nil {
-			res.Reports[i] = stubReport(jobs[i].name, ctx.Err())
-			stats.Skipped++
-		}
-	}
-	if opts.Observer != nil {
-		// Fold the run's cache economics into the exposition: the ESA
-		// interpret memo / vector pool (attributed per-run through the
-		// stat scope, so concurrent runs don't pollute each other) and
-		// the shared lib-policy cache (analyses performed must not
-		// exceed unique policy texts).
-		core.RecordESACacheCounters(opts.Observer, esaScope.Snapshot())
-		_, analyses := libCache.Stats()
-		opts.Observer.AddCounter("lib-policy-analyses", analyses)
-		opts.Observer.AddCounter("lib-policy-unique-texts", int64(libCache.Len()))
-	}
-	stats.Metrics = opts.Observer.Snapshot()
-	return res, stats, ctx.Err()
-}
-
-// runError maps a per-app outcome to the error recorded on its
-// corpus-run span: hard failures and skips carry the stub's StageRun
-// error, clean and degraded runs count as successes (degradation is
-// already visible on the individual stage spans).
-func runError(rep *core.Report, outcome Outcome) error {
-	if outcome != OutcomeFailed && outcome != OutcomeSkipped {
-		return nil
-	}
-	for _, e := range rep.Degraded {
-		if e.Stage == core.StageRun {
-			return e
-		}
-	}
-	return context.Canceled
+	return RunJobs(ctx, jobs, opts)
 }
 
 // AttemptOptions bounds one app's analysis in CheckApp. It carries

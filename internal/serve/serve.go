@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/obs"
@@ -94,19 +92,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// result is one finished analysis.
-type result struct {
-	rep     *core.Report
-	outcome eval.Outcome
-	retries int
-	// exhausted: the app spent its whole non-zero retry budget and
-	// still failed hard — a different signal than a one-shot failure.
-	exhausted bool
-	// quarantined: the breaker was open, so the app ran with its retry
-	// budget withheld.
-	quarantined bool
-}
-
 // job is one admitted app: the request context travels with it so a
 // canceled request is skipped cheaply instead of analyzed for nobody.
 type job struct {
@@ -117,7 +102,7 @@ type job struct {
 	// /check-history routes versions through the longitudinal engine
 	// this way while sharing the same worker pool and admission bound.
 	run  func(ctx context.Context, c *core.Checker) (*core.Report, error)
-	done chan result // buffered(1): the worker's send never blocks
+	done chan eval.AppResult // buffered(1): the worker's send never blocks
 }
 
 // Server is the long-lived analysis service. Construct with New,
@@ -128,18 +113,17 @@ type job struct {
 // caches re-arm poisoned entries instead of serving them (see
 // core.AnalysisCache.Get).
 type Server struct {
-	opts     Options
-	libCache *core.AnalysisCache
-	esaScope *esa.StatScope
-	obs      *obs.Observer
-	breaker  *stream.Breaker
+	opts    Options
+	pool    *eval.Pool
+	obs     *obs.Observer
+	breaker *stream.Breaker
 
 	longiEng *longi.Engine // nil unless Options.Longi is set
 
-	jobs    chan *job
-	mu      sync.Mutex // guards queued
-	queued  int
-	workers sync.WaitGroup
+	jobs     chan *job
+	mu       sync.Mutex // guards queued
+	queued   int
+	poolDone chan struct{} // closed when every worker has exited
 
 	draining atomic.Bool
 	httpSrv  *http.Server
@@ -151,16 +135,24 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		libCache: core.NewAnalysisCache(),
-		esaScope: esa.NewStatScope(),
-		obs:      opts.Observer,
-		breaker:  stream.NewBreaker(opts.Breaker),
-		jobs:     make(chan *job, opts.QueueDepth),
+		opts:    opts,
+		obs:     opts.Observer,
+		breaker: stream.NewBreaker(opts.Breaker),
+		jobs:    make(chan *job, opts.QueueDepth),
 	}
+	checkerOpts := opts.CheckerOptions
 	if opts.Longi != nil {
 		s.longiEng = longi.NewEngine(longi.NewMemStore(opts.LongiCacheEntries), *opts.Longi)
+		// The artifact store keys by the longi config fingerprint, so the
+		// checkers must be built from that config and nothing else (the
+		// pool's shared caches never change analysis results).
+		checkerOpts = s.longiEng.Config().CheckerOptions()
 	}
+	s.pool = eval.NewPool(checkerOpts, nil, s.obs, eval.AttemptOptions{
+		Timeout:      opts.PerAppTimeout,
+		MaxRetries:   opts.MaxRetries,
+		RetryBackoff: opts.RetryBackoff,
+	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/check", s.handleCheck)
 	mux.HandleFunc("/check-batch", s.handleCheckBatch)
@@ -183,58 +175,39 @@ func New(opts Options) *Server {
 func (s *Server) Start(ln net.Listener) {
 	s.ln = ln
 	s.started = time.Now()
-	base := s.opts.CheckerOptions
-	if s.longiEng != nil {
-		// The artifact store keys by the longi config fingerprint, so the
-		// checkers must be built from that config and nothing else (the
-		// shared caches appended below never change analysis results).
-		base = s.longiEng.Config().CheckerOptions()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, base...),
-		core.WithSharedAnalysisCache(s.libCache),
-		core.WithObserver(s.obs),
-		core.WithESAStatScope(s.esaScope))
-	attempt := eval.AttemptOptions{
-		Timeout:      s.opts.PerAppTimeout,
-		MaxRetries:   s.opts.MaxRetries,
-		RetryBackoff: s.opts.RetryBackoff,
-	}
-	for w := 0; w < s.opts.Workers; w++ {
-		s.workers.Add(1)
-		go func() {
-			defer s.workers.Done()
-			checker := core.NewChecker(checkerOpts...)
-			for j := range s.jobs {
-				quarantined := s.breaker.Quarantine()
-				att := attempt
-				if quarantined {
-					att.MaxRetries = 0
-					s.obs.AddCounter("serve-quarantined", 1)
-				}
-				run := j.run
-				if run == nil {
-					run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
-						return c.CheckSafe(ctx, j.app)
-					}
-				}
-				sp := s.obs.Start(string(core.StageRun), j.name, "")
-				rep, outcome, retries := eval.CheckApp(j.ctx, checker, j.name, run, att)
-				sp.End(spanError(rep, outcome), false)
-				if tripped := s.breaker.Observe(rep, outcome); len(tripped) > 0 {
-					s.obs.AddCounter("serve-breaker-trips", int64(len(tripped)))
-				}
-				exhausted := att.Exhausted(outcome, rep, retries)
-				if exhausted {
-					s.obs.AddCounter("serve-retry-exhaustions", 1)
-				}
-				s.obs.AddCounter("serve-requests-"+outcome.String(), 1)
-				s.release(1)
-				j.done <- result{rep: rep, outcome: outcome, retries: retries,
-					exhausted: exhausted, quarantined: quarantined}
-			}
-		}()
-	}
+	s.poolDone = make(chan struct{})
+	go func() {
+		defer close(s.poolDone)
+		s.pool.Run(s.opts.Workers, s.work)
+	}()
 	go func() { _ = s.httpSrv.Serve(ln) }()
+}
+
+// work is one pool worker: it analyzes admitted jobs until the queue
+// closes, replying on each job's done channel.
+func (s *Server) work(w *eval.Worker) {
+	for j := range s.jobs {
+		quarantined := s.breaker.Quarantine()
+		if quarantined {
+			s.obs.AddCounter("serve-quarantined", 1)
+		}
+		run := j.run
+		if run == nil {
+			run = func(ctx context.Context, c *core.Checker) (*core.Report, error) {
+				return c.CheckSafe(ctx, j.app)
+			}
+		}
+		r := w.Check(j.ctx, j.name, run, quarantined)
+		if tripped := s.breaker.Observe(r.Report, r.Outcome); len(tripped) > 0 {
+			s.obs.AddCounter("serve-breaker-trips", int64(len(tripped)))
+		}
+		if r.Exhausted {
+			s.obs.AddCounter("serve-retry-exhaustions", 1)
+		}
+		s.obs.AddCounter("serve-requests-"+r.Outcome.String(), 1)
+		s.release(1)
+		j.done <- r
+	}
 }
 
 // Addr returns the bound listen address.
@@ -264,7 +237,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// No handler can submit anymore: stop the workers.
 	close(s.jobs)
-	s.workers.Wait()
+	if s.poolDone != nil {
+		<-s.poolDone
+	}
 	return nil
 }
 
@@ -303,7 +278,7 @@ func (s *Server) QueueLen() int {
 // block. run may be nil (plain CheckSafe).
 func (s *Server) submit(ctx context.Context, name string, app *core.App,
 	run func(context.Context, *core.Checker) (*core.Report, error)) *job {
-	j := &job{ctx: ctx, name: name, app: app, run: run, done: make(chan result, 1)}
+	j := &job{ctx: ctx, name: name, app: app, run: run, done: make(chan eval.AppResult, 1)}
 	s.jobs <- j
 	return j
 }
@@ -335,7 +310,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := <-s.submit(r.Context(), req.Name, app, nil).done
-	WriteJSON(w, statusFor(res.outcome), checkResponse(&req, res))
+	WriteJSON(w, statusFor(res.Outcome), checkResponse(&req, res))
 }
 
 // handleCheckBatch analyzes a list of bundles as one admission unit:
@@ -381,27 +356,10 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		jobs[i] = s.submit(r.Context(), batch.Apps[i].Name, app, nil)
 	}
 	resp := BatchResponse{Apps: make([]CheckResponse, len(jobs))}
-	resp.Stats.Apps = len(jobs)
 	for i, j := range jobs {
 		res := <-j.done
 		resp.Apps[i] = checkResponse(&batch.Apps[i], res)
-		resp.Stats.Retried += res.retries
-		if res.exhausted {
-			resp.Stats.RetryExhaustions++
-		}
-		if res.quarantined {
-			resp.Stats.Quarantined++
-		}
-		switch res.outcome {
-		case eval.OutcomeChecked:
-			resp.Stats.Checked++
-		case eval.OutcomeDegraded:
-			resp.Stats.Degraded++
-		case eval.OutcomeFailed:
-			resp.Stats.Failed++
-		case eval.OutcomeSkipped:
-			resp.Stats.Skipped++
-		}
+		resp.Stats.add(res)
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
@@ -461,30 +419,16 @@ func (s *Server) handleCheckHistory(w http.ResponseWriter, r *http.Request) {
 			})
 	}
 	resp := HistoryResponse{Name: req.Name, Versions: make([]CheckResponse, len(jobs))}
-	resp.Stats.Apps = len(jobs)
 	reports := make([]*core.Report, len(jobs))
 	for i, j := range jobs {
 		res := <-j.done
 		resp.Versions[i] = checkResponse(&req.Versions[i], res)
 		resp.Versions[i].Name = j.name
-		resp.Stats.Retried += res.retries
-		if res.exhausted {
-			resp.Stats.RetryExhaustions++
-		}
-		if res.quarantined {
-			resp.Stats.Quarantined++
-		}
-		switch res.outcome {
-		case eval.OutcomeChecked:
-			resp.Stats.Checked++
-			reports[i] = res.rep
-		case eval.OutcomeDegraded:
-			resp.Stats.Degraded++
-			reports[i] = res.rep
-		case eval.OutcomeFailed:
-			resp.Stats.Failed++
-		case eval.OutcomeSkipped:
-			resp.Stats.Skipped++
+		resp.Stats.add(res)
+		// Only completed analyses feed the drift diff; a stub is no
+		// version at all.
+		if res.Outcome == eval.OutcomeChecked || res.Outcome == eval.OutcomeDegraded {
+			reports[i] = res.Report
 		}
 	}
 	hist := longi.History{
@@ -552,15 +496,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // library-policy cache (analyses performed must never exceed unique
 // policy texts seen across all requests).
 func (s *Server) publishCacheGauges() {
-	d := s.esaScope.Snapshot()
+	d := s.pool.StatScope().Snapshot()
 	s.obs.SetCounter("esa-interpret-hits", d.Hits)
 	s.obs.SetCounter("esa-interpret-misses", d.Misses)
 	s.obs.SetCounter("esa-interpret-evictions", d.Evictions)
 	s.obs.SetCounter("esa-vec-pool-gets", d.PoolGets)
 	s.obs.SetCounter("esa-vec-pool-allocs", d.PoolNews)
-	_, analyses := s.libCache.Stats()
+	libCache := s.pool.Cache()
+	_, analyses := libCache.Stats()
 	s.obs.SetCounter("lib-policy-analyses", analyses)
-	s.obs.SetCounter("lib-policy-unique-texts", int64(s.libCache.Len()))
+	s.obs.SetCounter("lib-policy-unique-texts", int64(libCache.Len()))
 	if s.longiEng != nil {
 		cs := s.longiEng.Stats()
 		s.obs.SetCounter("longi-artifact-hits", cs.Hits)
@@ -579,14 +524,36 @@ func (s *Server) Metrics() *obs.Snapshot {
 }
 
 // checkResponse shapes one finished analysis for the wire.
-func checkResponse(req *CheckRequest, res result) CheckResponse {
+func checkResponse(req *CheckRequest, res eval.AppResult) CheckResponse {
 	return CheckResponse{
 		Name:             req.Name,
-		Outcome:          res.outcome.String(),
-		Retries:          res.retries,
-		RetriesExhausted: res.exhausted,
-		Quarantined:      res.quarantined,
-		Report:           report.FromReport(res.rep),
+		Outcome:          res.Outcome.String(),
+		Retries:          res.Retries,
+		RetriesExhausted: res.Exhausted,
+		Quarantined:      res.Quarantined,
+		Report:           report.FromReport(res.Report),
+	}
+}
+
+// add folds one finished analysis into a batch or history tally.
+func (s *BatchStats) add(r eval.AppResult) {
+	s.Apps++
+	s.Retried += r.Retries
+	switch r.Outcome {
+	case eval.OutcomeChecked:
+		s.Checked++
+	case eval.OutcomeDegraded:
+		s.Degraded++
+	case eval.OutcomeFailed:
+		s.Failed++
+	case eval.OutcomeSkipped:
+		s.Skipped++
+	}
+	if r.Exhausted {
+		s.RetryExhaustions++
+	}
+	if r.Quarantined {
+		s.Quarantined++
 	}
 }
 
@@ -604,19 +571,3 @@ func statusFor(o eval.Outcome) int {
 		return http.StatusInternalServerError
 	}
 }
-
-// spanError mirrors the corpus runner's StageRun span contract: hard
-// failures and skips carry the stub's StageRun error; clean and
-// degraded analyses count as successes.
-func spanError(rep *core.Report, outcome eval.Outcome) error {
-	if outcome != eval.OutcomeFailed && outcome != eval.OutcomeSkipped {
-		return nil
-	}
-	for _, e := range rep.Degraded {
-		if e.Stage == core.StageRun {
-			return e
-		}
-	}
-	return errors.New(outcome.String())
-}
-

@@ -1,6 +1,6 @@
 // Package serve is the long-lived analysis service behind cmd/ppserve:
-// an HTTP front end over the robust single-app pipeline
-// (eval.CheckApp → core.CheckSafe) that keeps one shared
+// an HTTP front end over the shared analysis pool
+// (eval.Pool → core.CheckSafe) that keeps one shared
 // core.AnalysisCache and the warm process-global ESA interpret memo
 // alive across every request for the whole server lifetime.
 //

@@ -1,7 +1,7 @@
 // Package stream is the resilient streaming ingestion layer: it feeds
 // app bundles from a producer (directory walk, synthetic firehose)
-// through a bounded backpressure queue into the robust per-app
-// pipeline (eval.CheckApp), appending every completed app to a durable
+// through a bounded backpressure queue into the shared analysis pool
+// (eval.Pool), appending every completed app to a durable
 // write-ahead checkpoint journal. A killed run resumes by replaying
 // the journal: finished apps are skipped and their outcomes folded
 // back into the stats, so an interrupted-and-resumed run ends with
@@ -221,22 +221,29 @@ func foldRecord(replay *Replay, rec Record) {
 		return
 	}
 	replay.Records++
+	o, ok := eval.ParseOutcome(rec.Outcome)
+	if !ok {
+		// An outcome this build does not know is no checkpoint: the app
+		// is re-analyzed instead of folding a count that would break the
+		// RunStats partition.
+		return
+	}
 	if _, dup := replay.Done[rec.App]; dup {
 		replay.Duplicates++
 		return
 	}
 	replay.Done[rec.App] = rec
-	replay.Stats.Apps++
-	replay.Stats.Retried += rec.Retries
-	switch rec.Outcome {
-	case eval.OutcomeChecked.String():
-		replay.Stats.Checked++
-	case eval.OutcomeDegraded.String():
-		replay.Stats.Degraded++
-	case eval.OutcomeFailed.String():
-		replay.Stats.Failed++
-	case eval.OutcomeSkipped.String():
-		replay.Stats.Skipped++
+	replay.Stats.Count(o, rec.Retries)
+}
+
+// Reanalyze takes a stale checkpoint — a replayed app whose inputs
+// changed since it was journaled — back out of the stats, the inverse
+// of the replay fold, so the app's fresh analysis counts once.
+func (s *Stats) Reanalyze(rec Record) {
+	s.Reanalyzed++
+	s.Replayed--
+	if o, ok := eval.ParseOutcome(rec.Outcome); ok {
+		s.Uncount(o, rec.Retries)
 	}
 }
 

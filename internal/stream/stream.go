@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ppchecker/internal/core"
-	"ppchecker/internal/esa"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
 )
@@ -142,37 +141,23 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 		stats.Replayed = len(opts.Replay.Done)
 	}
 
-	libCache := opts.SharedAnalysisCache
-	if libCache == nil {
-		libCache = core.NewAnalysisCache()
-	}
-	checkerOpts := append(append([]core.CheckerOption{}, opts.CheckerOptions...),
-		core.WithSharedAnalysisCache(libCache))
-	if opts.Observer != nil {
-		checkerOpts = append(checkerOpts, core.WithObserver(opts.Observer))
-	}
-	esaScope := esa.NewStatScope()
-	checkerOpts = append(checkerOpts, core.WithESAStatScope(esaScope))
-
-	attempt := eval.AttemptOptions{
+	pool := eval.NewPool(opts.CheckerOptions, opts.SharedAnalysisCache, opts.Observer, eval.AttemptOptions{
 		Timeout:      opts.PerAppTimeout,
 		MaxRetries:   opts.MaxRetries,
 		RetryBackoff: opts.RetryBackoff,
 		BackoffMax:   opts.RetryBackoffMax,
 		Jitter:       opts.RetryJitter,
-	}
+	})
 
 	queue := make(chan *Item, queueDepth)
 	var queued, highWater int // guarded by mu
 
 	// Producer: pull, skip checkpointed, push with backpressure
 	// accounting. Closes the queue when the source ends or the drain
-	// signal fires.
+	// signal fires; the workers drain it, so once the pool returns the
+	// producer is done too.
 	var srcErr error
-	var producerWG sync.WaitGroup
-	producerWG.Add(1)
 	go func() {
-		defer producerWG.Done()
 		defer close(queue)
 		for {
 			select {
@@ -205,20 +190,7 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 					// The inputs changed since the checkpoint: the
 					// journal record is stale, re-analyze.
 					mu.Lock()
-					stats.Reanalyzed++
-					stats.Apps--
-					stats.Retried -= rec.Retries
-					switch rec.Outcome {
-					case eval.OutcomeChecked.String():
-						stats.Checked--
-					case eval.OutcomeDegraded.String():
-						stats.Degraded--
-					case eval.OutcomeFailed.String():
-						stats.Failed--
-					case eval.OutcomeSkipped.String():
-						stats.Skipped--
-					}
-					stats.Replayed--
+					stats.Reanalyze(rec)
 					mu.Unlock()
 				}
 			}
@@ -269,103 +241,73 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 	}()
 
 	// Workers: analyze, checkpoint, account.
-	var workerWG sync.WaitGroup
 	var journalErr error
-	for w := 0; w < workers; w++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			checker := core.NewChecker(checkerOpts...)
-			for item := range queue {
-				mu.Lock()
-				queued--
-				mu.Unlock()
-				quarantined := opts.Breaker.Quarantine()
-				att := attempt
-				if quarantined {
-					att.MaxRetries = 0
-				}
-				// The app context: graceful drain lets in-flight apps
-				// finish (ctx cancellation still aborts them), so the
-				// analysis runs under ctx directly.
-				sp := opts.Observer.Start(string(core.StageRun), item.Name, "")
-				rep, outcome, retries := eval.CheckApp(ctx, checker, item.Name, item.Run, att)
-				sp.End(streamRunError(rep, outcome), false)
+	pool.Run(workers, func(w *eval.Worker) {
+		for item := range queue {
+			mu.Lock()
+			queued--
+			mu.Unlock()
+			// The app context: graceful drain lets in-flight apps finish
+			// (ctx cancellation still aborts them), so the analysis runs
+			// under ctx directly.
+			r := w.Check(ctx, item.Name, item.Run, opts.Breaker.Quarantine())
 
-				if tripped := opts.Breaker.Observe(rep, outcome); len(tripped) > 0 {
-					opts.Observer.AddCounter("stream-breaker-trips", int64(len(tripped)))
-				}
+			if tripped := opts.Breaker.Observe(r.Report, r.Outcome); len(tripped) > 0 {
+				opts.Observer.AddCounter("stream-breaker-trips", int64(len(tripped)))
+			}
+			if r.Exhausted {
+				opts.Observer.AddCounter("stream-retry-exhaustions", 1)
+			}
 
-				exhausted := att.Exhausted(outcome, rep, retries)
-				if exhausted {
-					opts.Observer.AddCounter("stream-retry-exhaustions", 1)
-				}
-
-				// Checkpoint before accounting: an app is only ever
-				// counted once it is journaled, so a crash between the
-				// two at worst re-analyzes (never double-counts) it.
-				// Skipped apps are deliberately not journaled — they
-				// produced nothing and must be re-analyzed on resume.
-				if opts.Journal != nil && outcome != eval.OutcomeSkipped {
-					err := opts.Journal.Append(Record{
-						App:         item.Name,
-						Hash:        item.Hash,
-						Outcome:     outcome.String(),
-						Retries:     retries,
-						Partial:     rep != nil && rep.Partial,
-						Quarantined: quarantined,
-					})
-					if err != nil {
-						// Surface the durability loss the moment it
-						// happens: the run keeps completing apps, but from
-						// this record on they may not be checkpointed, so
-						// the resume contract is degraded (see the Journal
-						// doc comment). The counter makes that visible to
-						// a live metrics scrape instead of only at Run's
-						// return.
-						opts.Observer.AddCounter("stream-journal-errors", 1)
-						mu.Lock()
-						stats.JournalErrors++
-						if journalErr == nil {
-							journalErr = err
-						}
-						mu.Unlock()
+			// Checkpoint before accounting: an app is only ever counted
+			// once it is journaled, so a crash between the two at worst
+			// re-analyzes (never double-counts) it. Skipped apps are
+			// deliberately not journaled — they produced nothing and must
+			// be re-analyzed on resume.
+			if opts.Journal != nil && r.Outcome != eval.OutcomeSkipped {
+				err := opts.Journal.Append(Record{
+					App:         item.Name,
+					Hash:        item.Hash,
+					Outcome:     r.Outcome.String(),
+					Retries:     r.Retries,
+					Partial:     r.Report.Partial,
+					Quarantined: r.Quarantined,
+				})
+				if err != nil {
+					// Surface the durability loss the moment it happens:
+					// the run keeps completing apps, but from this record
+					// on they may not be checkpointed, so the resume
+					// contract is degraded (see the Journal doc comment).
+					// The counter makes that visible to a live metrics
+					// scrape instead of only at Run's return.
+					opts.Observer.AddCounter("stream-journal-errors", 1)
+					mu.Lock()
+					stats.JournalErrors++
+					if journalErr == nil {
+						journalErr = err
 					}
-				}
-
-				mu.Lock()
-				stats.Apps++
-				stats.Retried += retries
-				switch outcome {
-				case eval.OutcomeChecked:
-					stats.Checked++
-				case eval.OutcomeDegraded:
-					stats.Degraded++
-				case eval.OutcomeFailed:
-					stats.Failed++
-				case eval.OutcomeSkipped:
-					stats.Skipped++
-				}
-				if quarantined {
-					stats.Quarantined++
-				}
-				if exhausted {
-					stats.RetryExhaustions++
-				}
-				mu.Unlock()
-
-				if opts.OnResult != nil {
-					opts.OnResult(Result{
-						Name: item.Name, Hash: item.Hash, Report: rep,
-						Outcome: outcome, Retries: retries, Quarantined: quarantined,
-					})
+					mu.Unlock()
 				}
 			}
-		}()
-	}
 
-	producerWG.Wait()
-	workerWG.Wait()
+			mu.Lock()
+			stats.Count(r.Outcome, r.Retries)
+			if r.Quarantined {
+				stats.Quarantined++
+			}
+			if r.Exhausted {
+				stats.RetryExhaustions++
+			}
+			mu.Unlock()
+
+			if opts.OnResult != nil {
+				opts.OnResult(Result{
+					Name: item.Name, Hash: item.Hash, Report: r.Report,
+					Outcome: r.Outcome, Retries: r.Retries, Quarantined: r.Quarantined,
+				})
+			}
+		}
+	})
 
 	// Final checkpoint flush: a graceful end leaves no tail at the
 	// mercy of the fsync batch.
@@ -378,14 +320,9 @@ func Run(ctx context.Context, src Source, opts Options) (Stats, error) {
 
 	stats.QueueHighWater = highWater
 	stats.BreakerTrips = opts.Breaker.Trips()
-	if opts.Observer != nil {
-		core.RecordESACacheCounters(opts.Observer, esaScope.Snapshot())
-		_, analyses := libCache.Stats()
-		opts.Observer.AddCounter("lib-policy-analyses", analyses)
-		opts.Observer.AddCounter("lib-policy-unique-texts", int64(libCache.Len()))
-		opts.Observer.SetCounter("stream-apps-replayed", int64(stats.Replayed))
-		opts.Observer.SetCounter("stream-quarantined", int64(stats.Quarantined))
-	}
+	pool.RecordCounters()
+	opts.Observer.SetCounter("stream-apps-replayed", int64(stats.Replayed))
+	opts.Observer.SetCounter("stream-quarantined", int64(stats.Quarantined))
 	stats.Metrics = opts.Observer.Snapshot()
 
 	switch {
@@ -406,21 +343,6 @@ func drainCh(ch <-chan struct{}) <-chan struct{} {
 		return neverDrain
 	}
 	return ch
-}
-
-// streamRunError mirrors the corpus runner's StageRun span contract.
-func streamRunError(rep *core.Report, outcome eval.Outcome) error {
-	if outcome != eval.OutcomeFailed && outcome != eval.OutcomeSkipped {
-		return nil
-	}
-	if rep != nil {
-		for _, e := range rep.Degraded {
-			if e.Stage == core.StageRun {
-				return e
-			}
-		}
-	}
-	return context.Canceled
 }
 
 // SignalDrain wires POSIX signals to the graceful-drain contract:

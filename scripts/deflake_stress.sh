@@ -2,7 +2,8 @@
 # deflake_stress.sh — hammer the timing-sensitive test surfaces under
 # the race detector to prove the synchronization fixes hold: the
 # stream backpressure/soak/journal tests, the serve admission/drain
-# tests, the concurrency hammers for frozen-graph reads and pooled
+# tests and the cross-mode findings differential, the shared analysis
+# pool's Worker.Check table test, the concurrency hammers for frozen-graph reads and pooled
 # per-app arena reuse, the graph Reset-vs-fresh differential, and the
 # distributed-tier lease/renewal/failover tests run COUNT times each
 # (50 by default, override with COUNT=n or $1); the multi-process dist
@@ -23,7 +24,9 @@ go test ./internal/stream/ -race -count="${COUNT}" \
     -run 'TestRunBackpressure|TestHeapSamplerPublishes|TestRunDrain|TestRunFirehose|TestRunResumeBitIdentical'
 
 go test ./internal/serve/ -race -count="${COUNT}" -short \
-    -run 'TestServeGracefulDrain|TestServeConcurrentClients|TestServeCheckHistory'
+    -run 'TestServeGracefulDrain|TestServeConcurrentClients|TestServeCheckHistory|TestCrossModeFindingsDifferential'
+
+go test ./internal/eval/ -race -count="${COUNT}" -run 'TestPoolWorkerCheck'
 
 go test ./internal/graphdb/ ./internal/core/ -race -count="${COUNT}" \
     -run 'TestFrozenConcurrentReads|TestResetMatchesFreshGraph|TestCheckSafeConcurrentArenaReuse'
