@@ -12,7 +12,9 @@ import (
 )
 
 // TestJournalRoundTrip: records written to a fresh journal come back
-// on reopen with their outcomes folded into the replay stats.
+// on reopen with their outcomes folded into the replay stats. A record
+// whose outcome name is unknown is read but not folded: it is no
+// checkpoint, so its app is re-analyzed.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, replay, err := OpenJournal(path, "test", JournalOptions{})
@@ -26,6 +28,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		{App: "a", Hash: "h1", Outcome: "checked"},
 		{App: "b", Hash: "h2", Outcome: "degraded", Retries: 2, Partial: true},
 		{App: "c", Hash: "h3", Outcome: "failed", Retries: 1, Quarantined: true},
+		{App: "d", Hash: "h4", Outcome: "bogus", Retries: 5},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -41,7 +44,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if replay.Records != 3 || replay.Duplicates != 0 || replay.Truncated {
+	if replay.Records != 4 || replay.Duplicates != 0 || replay.Truncated {
 		t.Fatalf("replay = %+v", replay)
 	}
 	want := eval.RunStats{Apps: 3, Checked: 1, Degraded: 1, Failed: 1, Retried: 3}
@@ -50,6 +53,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if rec := replay.Done["c"]; !rec.Quarantined || rec.Hash != "h3" || rec.Seq != 3 {
 		t.Fatalf("record c = %+v", rec)
+	}
+	if rec, ok := replay.Done["d"]; ok {
+		t.Fatalf("record with unknown outcome treated as a checkpoint: %+v", rec)
 	}
 }
 
