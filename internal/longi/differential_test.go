@@ -72,6 +72,16 @@ func TestDeltaVsColdDifferential(t *testing.T) {
 	if delta.Cache.Puts != 0 {
 		t.Errorf("delta run stored %d new artifacts, want 0", delta.Cache.Puts)
 	}
+	// Every version is healthy and has an APK, so it consults the memo
+	// for all four stage groups; a first-seen group is stored exactly
+	// once, and the delta run is served entirely from the store.
+	lookups := int64(4 * warmup.Stats.Versions)
+	if w := warmup.Cache; w.Lookups() != lookups || w.Puts != w.Misses || w.StoreErrors != 0 {
+		t.Errorf("warmup cache stats %+v, want %d lookups with puts == misses", w, lookups)
+	}
+	if want := (CacheStats{Hits: lookups}); delta.Cache != want {
+		t.Errorf("delta cache stats %+v, want %+v", delta.Cache, want)
+	}
 	// Even the first run is incremental across versions: unchanged
 	// sections of version N+1 hit version N's artifacts.
 	if warmup.Cache.Hits == 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -17,9 +16,9 @@ import (
 )
 
 // Artifact-store stage names. These are the cache's domain separators,
-// distinct from core.Stage (which names report degradations): the
-// pipeline's seven runtime stages collapse into four cacheable
-// computations — extract+policy, desc, static+taint+libs, detect.
+// one per core.MemoGroup: the pipeline's seven runtime stages collapse
+// into four cacheable computations — extract+policy, desc,
+// static+taint+libs, detect.
 const (
 	stagePolicy = "policy"
 	stageDesc   = "desc"
@@ -30,24 +29,60 @@ const (
 // Serialized stage outputs. Everything in them is plain exported data,
 // so a JSON round trip is lossless — the engine relies on that to make
 // a freshly computed artifact and a reloaded one structurally
-// identical (see putArtifact).
+// identical (see putArtifact). Each artifact copies its group's report
+// fields in (take) and out (fill).
+type artifact interface {
+	take(r *core.Report)
+	fill(r *core.Report)
+}
+
 type policyArtifact struct {
 	Analysis *policy.Analysis `json:"analysis"`
 }
 
+func (a *policyArtifact) take(r *core.Report) { a.Analysis = r.Policy }
+func (a *policyArtifact) fill(r *core.Report) { r.Policy = a.Analysis }
+
 type descArtifact struct {
 	Result *desc.Result `json:"result"`
 }
+
+func (a *descArtifact) take(r *core.Report) { a.Result = r.Desc }
+func (a *descArtifact) fill(r *core.Report) { r.Desc = a.Result }
 
 type staticArtifact struct {
 	Result *static.Result      `json:"result"`
 	Libs   []libdetect.Library `json:"libs"`
 }
 
+func (a *staticArtifact) take(r *core.Report) { a.Result, a.Libs = r.Static, r.Libs }
+func (a *staticArtifact) fill(r *core.Report) { r.Static, r.Libs = a.Result, a.Libs }
+
 type detectArtifact struct {
 	Incomplete   []core.IncompleteFinding    `json:"incomplete"`
 	Incorrect    []core.IncorrectFinding     `json:"incorrect"`
 	Inconsistent []core.InconsistencyFinding `json:"inconsistent"`
+}
+
+func (a *detectArtifact) take(r *core.Report) {
+	a.Incomplete, a.Incorrect, a.Inconsistent = r.Incomplete, r.Incorrect, r.Inconsistent
+}
+
+func (a *detectArtifact) fill(r *core.Report) {
+	r.Incomplete, r.Incorrect, r.Inconsistent = a.Incomplete, a.Incorrect, a.Inconsistent
+}
+
+// newArtifact returns an empty artifact for stage group g.
+func newArtifact(g core.MemoGroup) artifact {
+	switch g {
+	case core.MemoPolicy:
+		return &policyArtifact{}
+	case core.MemoDesc:
+		return &descArtifact{}
+	case core.MemoStatic:
+		return &staticArtifact{}
+	}
+	return &detectArtifact{}
 }
 
 // CacheStats counts artifact-store traffic. It is execution metadata,
@@ -84,10 +119,11 @@ type Engine struct {
 
 	hits, misses, puts, storeErrs atomic.Int64
 
-	// stageHook, when set by a test, runs before each stage compute
-	// (cache hits bypass it); returning an error fails the stage. It
-	// exists to prove failure paths — timeouts, panics, exhausted retry
-	// budgets — never write artifacts.
+	// stageHook, when set by a test, runs on every memo miss, before
+	// the group's stages (cache hits bypass it); returning an error or
+	// panicking fails the group. It exists to prove failure paths —
+	// timeouts, panics, exhausted retry budgets — never write
+	// artifacts.
 	stageHook func(ctx context.Context, stage string) error
 }
 
@@ -111,18 +147,18 @@ func (e *Engine) Stats() CacheStats {
 }
 
 // CheckVersion analyzes one app version through the artifact store:
-// each stage's output is fetched by content address when present and
-// computed (then stored) when not. The report matches core.CheckSafe
-// finding-for-finding on a healthy run, except that it carries no
+// core.Checker.CheckMemo runs the pipeline, and the version's memo
+// serves each stage group by content address when present and stores
+// it when computed. The report matches core.CheckSafe finding-for-
+// finding, degraded inputs included, except that it carries no
 // Timings — a longitudinal report must be bit-identical however its
 // stages were satisfied, and wall-clock timings are the one field that
 // never could be.
 //
-// Failure handling mirrors CheckSafe: a failed stage degrades the
-// report and the rest of the pipeline continues. A failed or partial
-// stage output is NEVER stored — the store holds only complete,
-// successful computations — so a version that degraded under a timeout
-// or an exhausted retry budget leaves no trace to poison later runs.
+// CheckMemo decides what is stored: a group only when none of its
+// stages degraded, the detect group only when nothing degraded at all.
+// A version that degraded under a timeout or an exhausted retry budget
+// therefore leaves no partial output to poison later runs.
 func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *core.App) (*core.Report, error) {
 	if app == nil {
 		return nil, errors.New("longi: nil app")
@@ -130,210 +166,128 @@ func (e *Engine) CheckVersion(ctx context.Context, checker *core.Checker, app *c
 	if checker == nil {
 		return nil, errors.New("longi: nil checker")
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	r, err := checker.CheckMemo(ctx, app, newVersionMemo(e, app))
+	if r != nil {
+		r.Timings = nil
 	}
-	r := &core.Report{App: core.AppName(app)}
+	return r, err
+}
 
-	// Policy: extraction + NLP, keyed by the raw policy bytes.
-	pkey := StageKey(stagePolicy, e.fp, []byte(app.PolicyHTML))
-	var pol policyArtifact
-	policyOK := false
-	if loadArtifact(e, stagePolicy, pkey, &pol) {
-		policyOK = true
-	} else if e.stage(ctx, r, core.StagePolicy, stagePolicy, func() error {
-		a, err := checker.PolicyStage(app.PolicyHTML)
-		if err != nil {
-			return err
-		}
-		pol.Analysis = a
-		return nil
-	}) {
-		putArtifact(e, stagePolicy, pkey, &pol)
-		policyOK = true
-	}
-	if policyOK {
-		r.Policy = pol.Analysis
-	}
+// versionMemo is the core.StageMemo of one app version. The policy,
+// description and static keys address the group inputs; the detect
+// key chains those three plus the library-policy set.
+type versionMemo struct {
+	e   *Engine
+	app *core.App
+	// skey is "no-apk" for an app without an APK and "" for one whose
+	// APK cannot be encoded: such a version's static and detect groups
+	// have no content address and always miss.
+	pkey, dkey, skey, tkey string
+}
 
-	// Description, keyed by the description bytes.
-	dkey := StageKey(stageDesc, e.fp, []byte(app.Description))
-	var de descArtifact
-	descOK := false
-	if loadArtifact(e, stageDesc, dkey, &de) {
-		descOK = true
-	} else if e.stage(ctx, r, core.StageDesc, stageDesc, func() error {
-		de.Result = checker.DescStage(app.Description)
-		return nil
-	}) {
-		putArtifact(e, stageDesc, dkey, &de)
-		descOK = true
+func newVersionMemo(e *Engine, app *core.App) *versionMemo {
+	m := &versionMemo{
+		e:    e,
+		app:  app,
+		pkey: StageKey(stagePolicy, e.fp, []byte(app.PolicyHTML)),
+		dkey: StageKey(stageDesc, e.fp, []byte(app.Description)),
+		skey: "no-apk",
 	}
-	if descOK {
-		r.Desc = de.Result
-	}
-
-	// Static + taint + libs as one artifact, keyed by the encoded APK
-	// (manifest + dex in the deterministic container layout).
-	skey := "no-apk"
-	staticOK := true
 	if app.APK != nil {
-		staticOK = false
-		apkBytes, err := apk.Encode(app.APK)
-		if err != nil {
-			r.AddDegraded(&core.StageError{
-				Stage: core.StageStatic, App: r.App,
-				Err: fmt.Errorf("encode apk for content address: %w", err),
-			})
-		} else {
-			key := StageKey(stageStatic, e.fp, apkBytes)
-			var st staticArtifact
-			if loadArtifact(e, stageStatic, key, &st) {
-				staticOK = true
-			} else if e.stage(ctx, r, core.StageStatic, stageStatic, func() error {
-				res, err := checker.StaticStage(ctx, app.APK)
-				if err != nil {
-					return err
-				}
-				libs, err := checker.LibsStage(app.APK)
-				if err != nil {
-					return err
-				}
-				st.Result, st.Libs = res, libs
-				return nil
-			}) {
-				putArtifact(e, stageStatic, key, &st)
-				staticOK = true
-			}
-			if staticOK {
-				r.Static, r.Libs = st.Result, st.Libs
-				skey = key
-			}
+		m.skey = ""
+		if b, err := apk.Encode(app.APK); err == nil {
+			m.skey = StageKey(stageStatic, e.fp, b)
 		}
 	}
-
-	// Detectors, gated on a usable policy analysis exactly like
-	// CheckSafe. The artifact is keyed by the upstream stage keys plus
-	// the library-policy set; it is only cached when every upstream
-	// analysis is complete — findings over a degraded pipeline are
-	// partial outputs and must not outlive this run.
-	if policyOK {
-		if descOK && staticOK {
-			tkey := StageKey(stageDetect, e.fp,
-				[]byte(pkey), []byte(dkey), []byte(skey), libPolicyBytes(app.LibPolicies))
-			var det detectArtifact
-			if loadArtifact(e, stageDetect, tkey, &det) {
-				r.Incomplete, r.Incorrect, r.Inconsistent = det.Incomplete, det.Incorrect, det.Inconsistent
-			} else if e.stage(ctx, r, core.StageDetect, stageDetect, func() error {
-				checker.DetectStage(app, r)
-				det = detectArtifact{
-					Incomplete: r.Incomplete, Incorrect: r.Incorrect, Inconsistent: r.Inconsistent,
-				}
-				return nil
-			}) {
-				putArtifact(e, stageDetect, tkey, &det)
-				r.Incomplete, r.Incorrect, r.Inconsistent = det.Incomplete, det.Incorrect, det.Inconsistent
-			}
-		} else {
-			e.stage(ctx, r, core.StageDetect, stageDetect, func() error {
-				checker.DetectStage(app, r)
-				return nil
-			})
-		}
-	}
-	if r.Policy == nil {
-		// Downstream consumers (renderers) dereference Policy; mirror
-		// CheckSafe's nil-safety fallback.
-		r.Policy = &policy.Analysis{}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return r, err
-	}
-	return r, nil
+	return m
 }
 
-// stage runs one computation behind panic recovery and a cancellation
-// check, recording failures as report degradations under the matching
-// core stage. Longitudinal stages record no timings (see CheckVersion).
-func (e *Engine) stage(ctx context.Context, r *core.Report, s core.Stage, name string, fn func() error) bool {
-	if err := ctx.Err(); err != nil {
-		r.AddDegraded(&core.StageError{Stage: s, App: r.App, Err: err})
-		return false
+// key returns group g's store stage and content address; the address
+// is "" when g cannot be keyed.
+func (m *versionMemo) key(g core.MemoGroup) (stage, key string) {
+	switch g {
+	case core.MemoPolicy:
+		return stagePolicy, m.pkey
+	case core.MemoDesc:
+		return stageDesc, m.dkey
+	case core.MemoStatic:
+		return stageStatic, m.skey
 	}
-	run := fn
-	if e.stageHook != nil {
-		hook := e.stageHook
-		run = func() error {
-			if err := hook(ctx, name); err != nil {
-				return err
-			}
-			return fn()
-		}
+	if m.tkey == "" && m.skey != "" {
+		m.tkey = StageKey(stageDetect, m.e.fp,
+			[]byte(m.pkey), []byte(m.dkey), []byte(m.skey), libPolicyBytes(m.app.LibPolicies))
 	}
-	err, recovered := recoverStage(run)
-	if err != nil {
-		r.AddDegraded(&core.StageError{Stage: s, App: r.App, Err: err, Recovered: recovered})
-		return false
-	}
-	return true
+	return stageDetect, m.tkey
 }
 
-// recoverStage invokes fn, converting a panic into an error (the
-// engine-side twin of core's runRecovered).
-func recoverStage(fn func() error) (err error, recovered bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-			recovered = true
-		}
-	}()
-	return fn(), false
+// Load implements core.StageMemo.
+func (m *versionMemo) Load(ctx context.Context, g core.MemoGroup, r *core.Report) (bool, error) {
+	stage, key := m.key(g)
+	if art, ok := loadArtifact(m.e, g, stage, key); ok {
+		art.fill(r)
+		return true, nil
+	}
+	if m.e.stageHook != nil {
+		return false, m.e.stageHook(ctx, stage)
+	}
+	return false, nil
 }
 
-// loadArtifact fetches and decodes one artifact. Store errors and
-// corrupt payloads are both treated as misses — the stage recomputes —
-// with the error counted. Decoding goes through a fresh value so a
-// corrupt payload can never leave *out half-populated.
-func loadArtifact[T any](e *Engine, stage, key string, out *T) bool {
+// Store implements core.StageMemo.
+func (m *versionMemo) Store(g core.MemoGroup, r *core.Report) {
+	if stage, key := m.key(g); key != "" {
+		putArtifact(m.e, g, stage, key, r)
+	}
+}
+
+// loadArtifact fetches and decodes one artifact; an unkeyed group is a
+// miss. Store errors and corrupt payloads are both treated as misses —
+// the stage recomputes — with the error counted. Decoding goes through
+// a fresh value so a corrupt payload can never reach the report.
+func loadArtifact(e *Engine, g core.MemoGroup, stage, key string) (artifact, bool) {
+	if key == "" {
+		e.misses.Add(1)
+		return nil, false
+	}
 	data, ok, err := e.store.Get(stage, key)
 	if err != nil {
 		e.storeErrs.Add(1)
 	}
 	if err != nil || !ok {
 		e.misses.Add(1)
-		return false
+		return nil, false
 	}
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
+	art := newArtifact(g)
+	if err := json.Unmarshal(data, art); err != nil {
 		e.storeErrs.Add(1)
 		e.misses.Add(1)
-		return false
+		return nil, false
 	}
-	*out = fresh
 	e.hits.Add(1)
-	return true
+	return art, true
 }
 
-// putArtifact serializes and stores one successful stage output, and —
-// crucially for the delta-vs-cold bit-identity bar — replaces the
-// caller's value with its own JSON round trip, so the report assembled
-// from a fresh compute is structurally identical to one assembled from
-// a future cache hit (nil-vs-empty slices and any other encoding
-// normalization included). A store write failure only loses the cache
-// entry; the computed value remains usable.
-func putArtifact[T any](e *Engine, stage, key string, art *T) {
+// putArtifact serializes and stores one group's report fields, and —
+// crucially for the delta-vs-cold bit-identity bar — replaces them
+// with their own JSON round trip, so the report assembled from a fresh
+// compute is structurally identical to one assembled from a future
+// cache hit (nil-vs-empty slices and any other encoding normalization
+// included). A store write failure only loses the cache entry; the
+// computed value remains usable.
+func putArtifact(e *Engine, g core.MemoGroup, stage, key string, r *core.Report) {
+	art := newArtifact(g)
+	art.take(r)
 	data, err := json.Marshal(art)
 	if err != nil {
 		e.storeErrs.Add(1)
 		return
 	}
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
+	fresh := newArtifact(g)
+	if err := json.Unmarshal(data, fresh); err != nil {
 		e.storeErrs.Add(1)
 		return
 	}
-	*art = fresh
+	fresh.fill(r)
 	if err := e.store.Put(stage, key, data); err != nil {
 		e.storeErrs.Add(1)
 		return

@@ -65,8 +65,8 @@ func (s *VersionSource) Next(ctx context.Context) (*stream.Item, error) {
 			apkBytes = b
 		} else {
 			// An unencodable APK still gets a stable identity: the
-			// version coordinates. The analysis itself will degrade the
-			// static stage the same way on every run.
+			// version coordinates. Its static analysis is never
+			// cached, and recomputes the same way on every run.
 			apkBytes = []byte("unencodable:" + s.cur.Pkg + "@" + strconv.Itoa(v.Version))
 		}
 	}

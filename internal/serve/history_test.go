@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"ppchecker/internal/dex"
 	"ppchecker/internal/longi"
 	"ppchecker/internal/serve"
 	"ppchecker/internal/synth"
@@ -108,5 +109,50 @@ func TestServeCheckHistoryDisabled(t *testing.T) {
 	resp2, body2 := postJSON(t, "http://"+srv2.Addr()+"/check-history", serve.HistoryRequest{Name: "x"})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty chain status = %d, body %s", resp2.StatusCode, body2)
+	}
+}
+
+// TestServeCheckHistoryMatchesCheck: an app whose static stage
+// degrades — one method over the APG size limit, while the library
+// scan still succeeds — gets the same report from /check and from a
+// one-version /check-history on one server.
+func TestServeCheckHistoryMatchesCheck(t *testing.T) {
+	srv := startServer(t, serve.Options{Workers: 2, Longi: &longi.Config{}})
+	ga, err := synth.NewFirehose(99).App(111)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := *ga.App.APK
+	a.Dex = &dex.Dex{Classes: append(append([]*dex.Class(nil), a.Dex.Classes...), synth.BombDex().Classes...)}
+	ga.App.APK = &a
+	req := wireApp(t, ga)
+
+	resp, body := postJSON(t, "http://"+srv.Addr()+"/check", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check status = %d, body %s", resp.StatusCode, body)
+	}
+	var cr serve.CheckResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatalf("bad /check JSON: %v\n%s", err, body)
+	}
+	resp, body = postJSON(t, "http://"+srv.Addr()+"/check-history",
+		serve.HistoryRequest{Name: req.Name, Versions: []serve.CheckRequest{req}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check-history status = %d, body %s", resp.StatusCode, body)
+	}
+	var hr serve.HistoryResponse
+	if err := json.Unmarshal(body, &hr); err != nil || len(hr.Versions) != 1 {
+		t.Fatalf("bad /check-history response (%v): %s", err, body)
+	}
+
+	cr.Report.Timings = nil
+	hr.Versions[0].Report.Timings = nil
+	want, _ := json.Marshal(cr.Report)
+	got, _ := json.Marshal(hr.Versions[0].Report)
+	if string(got) != string(want) {
+		t.Errorf("/check-history report differs from /check:\nhistory: %s\ncheck:   %s", got, want)
+	}
+	if !cr.Report.Problem {
+		t.Errorf("bomb-dex app reports no problem: %s", want)
 	}
 }

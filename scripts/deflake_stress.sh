@@ -4,7 +4,9 @@
 # stream backpressure/soak/journal tests, the serve admission/drain
 # tests and the cross-mode findings differential, the shared analysis
 # pool's Worker.Check table test, the concurrency hammers for frozen-graph reads and pooled
-# per-app arena reuse, the graph Reset-vs-fresh differential, and the
+# per-app arena reuse, the graph Reset-vs-fresh differential, the
+# longitudinal engine's CheckSafe parity and store-poisoning tests (the
+# retry-exhaustion one races a 50 ms attempt deadline), and the
 # distributed-tier lease/renewal/failover tests run COUNT times each
 # (50 by default, override with COUNT=n or $1); the multi-process dist
 # SIGKILL soak and the chaos suite (short subset) run COUNT/10 times.
@@ -27,6 +29,9 @@ go test ./internal/serve/ -race -count="${COUNT}" -short \
     -run 'TestServeGracefulDrain|TestServeConcurrentClients|TestServeCheckHistory|TestCrossModeFindingsDifferential'
 
 go test ./internal/eval/ -race -count="${COUNT}" -run 'TestPoolWorkerCheck'
+
+go test ./internal/longi/ -race -count="${COUNT}" \
+    -run 'TestCheckVersionMatchesCheckSafe|TestExhaustedRetriesNeverPoisonStore|TestPanickingStageNeverPoisonsStore'
 
 go test ./internal/graphdb/ ./internal/core/ -race -count="${COUNT}" \
     -run 'TestFrozenConcurrentReads|TestResetMatchesFreshGraph|TestCheckSafeConcurrentArenaReuse'
