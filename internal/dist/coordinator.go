@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -76,9 +77,9 @@ type Coordinator struct {
 	opts CoordinatorOptions
 
 	mu          sync.Mutex
-	pending     []*workItem       // reclaimed leases, served before new source pulls
-	outstanding map[string]*lease // lease id -> lease
-	done        map[string]bool   // app name -> outcome folded
+	pending     []*workItem          // reclaimed leases, served before new source pulls
+	outstanding map[string]*lease    // lease id -> lease
+	live        map[string]*workItem // app name -> pulled from the source, not yet folded
 	stats       stream.Stats
 	granted     int64
 	reports     int64
@@ -102,15 +103,12 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:        opts,
 		outstanding: map[string]*lease{},
-		done:        map[string]bool{},
+		live:        map[string]*workItem{},
 		finished:    make(chan struct{}),
 	}
 	if opts.Replay != nil {
 		c.stats.RunStats = opts.Replay.Stats
 		c.stats.Replayed = len(opts.Replay.Done)
-		for name := range opts.Replay.Done {
-			c.done[name] = true
-		}
 	}
 	// Detect the degenerate already-done run (empty or fully replayed
 	// source) without waiting for a worker to ask.
@@ -122,7 +120,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 
 // takeLocked produces the next leasable item: reclaimed work first,
 // then fresh source pulls with the same replay-skip semantics as
-// stream.Run. Returns nil when nothing is leasable right now.
+// stream.Run. A fresh pull joins the live set. Returns nil when
+// nothing is leasable right now.
 func (c *Coordinator) takeLocked() *workItem {
 	if len(c.pending) > 0 {
 		item := c.pending[0]
@@ -153,16 +152,18 @@ func (c *Coordinator) takeLocked() *workItem {
 				// Stale checkpoint — the inputs changed. Fold the old
 				// outcome back out and lease the item afresh.
 				c.stats.Reanalyze(rec)
-				delete(c.done, item.Name)
 			}
 		}
-		return &workItem{name: item.Name, hash: item.Hash, spec: *item.Spec}
+		w := &workItem{name: item.Name, hash: item.Hash, spec: *item.Spec}
+		c.live[w.name] = w
+		return w
 	}
 	return nil
 }
 
 // sweepLocked reclaims expired leases into the pending queue. An
-// expired copy of an already-folded app is dropped, not requeued:
+// expired lease whose app is no longer live (already folded) is
+// dropped, not requeued:
 // requeueing it would breed a fresh lease for work that is done, and
 // when every analysis outlives the TTL (a renewal outage) that cycle
 // — expire, requeue, re-lease, expire — never drains and the run
@@ -173,7 +174,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			delete(c.outstanding, id)
 			c.expired++
 			c.opts.Observer.AddCounter("dist-leases-expired", 1)
-			if !c.done[l.item.name] {
+			if c.live[l.item.name] != nil {
 				c.pending = append(c.pending, l.item)
 			}
 		}
@@ -268,54 +269,68 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	now := time.Now()
-
 	c.mu.Lock()
+	l, status := c.grantLocked(req.Worker, time.Now())
+	srcErr := c.srcErr
+	c.mu.Unlock()
+	switch {
+	case l != nil:
+		serve.WriteJSON(w, http.StatusOK, l)
+	case status == http.StatusNoContent:
+		// Backpressure, or in-flight leases may still expire and come
+		// back: poll.
+		w.WriteHeader(http.StatusNoContent)
+	case srcErr != nil:
+		serve.WriteError(w, http.StatusGone, "source failed: "+srcErr.Error())
+	default:
+		serve.WriteError(w, http.StatusGone, "run complete")
+	}
+}
+
+// grantLocked is the one lease-granting path, behind both POST /lease
+// and the next lease a report response carries. It sweeps expired
+// leases, then grants the next leasable item unless the source failed
+// or MaxOutstanding leases are out. Without a lease, status is 204
+// (poll again) or 410 (source failed, or the run is complete).
+func (c *Coordinator) grantLocked(worker string, now time.Time) (*LeaseResponse, int) {
 	c.sweepLocked(now)
 	if c.srcErr != nil {
 		c.maybeFinishLocked()
-		c.mu.Unlock()
-		serve.WriteError(w, http.StatusGone, "source failed: "+c.srcErr.Error())
-		return
+		return nil, http.StatusGone
 	}
 	if len(c.outstanding) >= c.opts.MaxOutstanding {
-		c.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent) // backpressure: try again shortly
-		return
+		return nil, http.StatusNoContent
 	}
 	item := c.takeLocked()
 	if item == nil {
 		c.maybeFinishLocked()
-		finished := c.srcDone && len(c.pending) == 0 && len(c.outstanding) == 0
-		c.mu.Unlock()
-		if finished {
-			serve.WriteError(w, http.StatusGone, "run complete")
-			return
+		if c.srcDone && len(c.pending) == 0 && len(c.outstanding) == 0 {
+			return nil, http.StatusGone
 		}
-		// In-flight leases may still expire and come back; poll.
-		w.WriteHeader(http.StatusNoContent)
-		return
+		return nil, http.StatusNoContent
 	}
 	c.seq++
-	id := fmt.Sprintf("lease-%d", c.seq)
-	c.outstanding[id] = &lease{worker: req.Worker, item: item, deadline: now.Add(c.opts.LeaseTTL)}
+	id := "lease-" + strconv.FormatInt(c.seq, 10)
+	c.outstanding[id] = &lease{worker: worker, item: item, deadline: now.Add(c.opts.LeaseTTL)}
 	c.granted++
-	c.mu.Unlock()
 	c.opts.Observer.AddCounter("dist-leases-granted", 1)
-
-	serve.WriteJSON(w, http.StatusOK, LeaseResponse{
+	return &LeaseResponse{
 		LeaseID:   id,
 		Name:      item.name,
 		Hash:      item.hash,
 		Spec:      item.spec,
 		TTLMillis: c.opts.LeaseTTL.Milliseconds(),
-	})
+	}, http.StatusOK
 }
 
 // handleRenew extends a live lease's deadline by a full TTL. The sweep
 // runs first so a renewal arriving after the deadline cannot revive an
 // already-expired lease — by then the item may be reassigned, and two
-// live copies of one lease ID would break the reclaim accounting.
+// live copies of one lease ID would break the reclaim accounting. A
+// renewal naming a different app than the lease holds is denied: lease
+// ids restart at lease-1 on a promoted coordinator, so a zombie's id
+// can collide with a live lease of the new fleet. A request without a
+// name (a worker predating the field) is matched by id alone.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
@@ -331,6 +346,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.sweepLocked(now)
 	l, ok := c.outstanding[req.LeaseID]
+	ok = ok && (req.Name == "" || l.item.name == req.Name)
 	if ok {
 		l.deadline = now.Add(c.opts.LeaseTTL)
 		c.renewals++
@@ -371,19 +387,29 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c.mu.Lock()
+	// Release the lease only if it holds this app: lease ids restart
+	// at lease-1 on a promoted coordinator, so a zombie's stale id may
+	// name another app's live lease.
 	l, held := c.outstanding[req.LeaseID]
+	held = held && l.item.name == req.Name
 	if held {
 		delete(c.outstanding, req.LeaseID)
 	}
 	c.reports++
-	if c.done[req.Name] {
-		// The lease expired, the item was reassigned, and the other
-		// copy won the fold. Count it; never double-fold.
+	if c.live[req.Name] == nil {
+		// Not live: another copy already won the fold (the lease
+		// expired and the item was reassigned), the app was replayed
+		// from the journal, or this coordinator never pulled it.
+		// Count it; never fold it.
 		c.duplicates++
+		resp := ReportResponse{Duplicate: true}
+		if req.Next {
+			resp.Lease, _ = c.grantLocked(req.Worker, time.Now())
+		}
 		c.maybeFinishLocked()
 		c.mu.Unlock()
 		c.opts.Observer.AddCounter("dist-duplicate-reports", 1)
-		serve.WriteJSON(w, http.StatusOK, ReportResponse{Accepted: false, Duplicate: true})
+		serve.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	if outcome == eval.OutcomeSkipped {
@@ -403,7 +429,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	// outside it — Append can fsync, and a sibling report must not
 	// block on our disk. The folding count holds the finish latch open
 	// until the claimed outcome actually lands in the stats.
-	c.done[req.Name] = true
+	delete(c.live, req.Name)
 	c.folding++
 	// An expired-and-requeued copy may still sit in pending; drop it
 	// so it is not analyzed a third time.
@@ -432,6 +458,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	resp := ReportResponse{Accepted: true}
 	c.mu.Lock()
 	c.folding--
 	c.stats.Count(outcome, req.Retries)
@@ -447,11 +474,14 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 			c.journalErr = journalErr
 		}
 	}
+	if req.Next {
+		resp.Lease, _ = c.grantLocked(req.Worker, time.Now())
+	}
 	c.maybeFinishLocked()
 	c.mu.Unlock()
 	c.opts.Observer.AddCounter("dist-reports-folded", 1)
 
-	serve.WriteJSON(w, http.StatusOK, ReportResponse{Accepted: true})
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {

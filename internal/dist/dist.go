@@ -16,9 +16,12 @@
 //	             like a single-process run.
 //	Worker       eval.Pool workers fed by leases: pull a lease,
 //	             rebuild the item with stream.SpecResolver, analyze it
-//	             on the goroutine's own checker, report the outcome. Workers hold no corpus state; a
-//	             SIGKILLed worker costs only its outstanding leases,
-//	             which expire and are re-leased to the survivors.
+//	             on the goroutine's own checker, report the outcome.
+//	             The report response carries the next lease, so the
+//	             steady state is one round trip per app. Workers hold
+//	             no corpus state; a SIGKILLed worker costs only its
+//	             outstanding leases, which expire and are re-leased to
+//	             the survivors.
 //	Shards       the coordinator hosts the longi artifact store and the
 //	             shared library-policy analysis cache as consistent-
 //	             hash-sharded HTTP endpoints (/shard/<i>/artifact/...).
@@ -36,9 +39,11 @@
 //
 //   - Worker death: outstanding leases expire after LeaseTTL and are
 //     reassigned. A lease is not a lock — a zombie worker may still
-//     report after expiry; the coordinator folds each app name at most
-//     once (first report wins) so duplicates are counted, never
-//     double-folded.
+//     report after expiry. The coordinator folds a report only while
+//     its app is live (pulled from the source, not yet folded), so the
+//     first report wins and later ones are counted duplicates, never
+//     double-folded. A report releases a lease only if that lease holds
+//     the reported app.
 //   - Slow app: with renewal on (WorkerOptions.RenewLeases), a worker
 //     heartbeats each held lease every TTL/3 via POST /renew, so a
 //     lease only expires after the worker goes silent for a full TTL —
@@ -66,10 +71,12 @@ import "ppchecker/internal/stream"
 // Wire types for the coordinator's lease protocol. Endpoints:
 //
 //	POST /lease    LeaseRequest -> 200 LeaseResponse | 204 no work yet
-//	               (retry after a short poll) | 410 run complete
+//	               (retry after a short poll) | 410 run complete; the
+//	               fallback once a report response brings no lease
 //	POST /renew    RenewRequest -> 200 RenewResponse (heartbeat for a
 //	               held lease; OK false once the lease is gone)
-//	POST /report   ReportRequest -> 200 ReportResponse
+//	POST /report   ReportRequest -> 200 ReportResponse (with next set,
+//	               the response may carry the worker's next lease)
 //	GET  /stats    StatsResponse
 //	GET  /config   ConfigResponse
 //	GET  /status   StatusResponse (primary or standby role)
@@ -107,6 +114,10 @@ type LeaseResponse struct {
 type RenewRequest struct {
 	LeaseID string `json:"lease_id"`
 	Worker  string `json:"worker"`
+	// Name is the leased app. The coordinator renews the lease only if
+	// it holds this app, so a stale id from before a failover cannot
+	// keep another app's lease alive. Empty matches by id alone.
+	Name string `json:"name,omitempty"`
 }
 
 // RenewResponse answers a heartbeat.
@@ -128,13 +139,16 @@ type ReportRequest struct {
 	Name    string `json:"name"`
 	Hash    string `json:"hash"`
 	// Outcome is the eval.Outcome wire name. "skipped" means the
-	// worker abandoned the app (its context died): the item is
-	// requeued, not folded.
+	// worker abandoned the app (its context died) or is handing back a
+	// lease it will not run: the item is requeued, not folded.
 	Outcome     string `json:"outcome"`
 	Retries     int    `json:"retries,omitempty"`
 	Partial     bool   `json:"partial,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
 	Exhausted   bool   `json:"exhausted,omitempty"`
+	// Next asks the coordinator to grant the worker's next lease in
+	// the response, saving a POST /lease round trip per app.
+	Next bool `json:"next,omitempty"`
 }
 
 // ReportResponse acknowledges a report.
@@ -142,8 +156,14 @@ type ReportResponse struct {
 	// Accepted: the outcome was folded into the run stats (and
 	// journaled). False for duplicates and skips.
 	Accepted bool `json:"accepted"`
-	// Duplicate: another worker's report for this app arrived first.
+	// Duplicate: the app is not live at this coordinator — another
+	// worker's report for it arrived first, it was replayed from the
+	// journal, or it was never leased — so the report was not folded.
 	Duplicate bool `json:"duplicate,omitempty"`
+	// Lease is the next lease, granted when the request set Next and
+	// the coordinator had an item to give. Absent, the worker falls
+	// back to POST /lease.
+	Lease *LeaseResponse `json:"lease,omitempty"`
 }
 
 // ConfigResponse tells workers how the coordinator is laid out.

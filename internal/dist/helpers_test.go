@@ -49,9 +49,9 @@ func runWorkerAndWait(t *testing.T, c *Coordinator, opts WorkerOptions) (WorkerS
 	return res.ws, got
 }
 
-func postRenew(t *testing.T, url, leaseID, worker string) RenewResponse {
+func postRenew(t *testing.T, url string, req RenewRequest) RenewResponse {
 	t.Helper()
-	body, _ := json.Marshal(RenewRequest{LeaseID: leaseID, Worker: worker})
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/renew", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

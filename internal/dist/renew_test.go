@@ -132,7 +132,7 @@ func TestLateRenewalCannotReviveExpiredLease(t *testing.T) {
 	}
 	time.Sleep(80 * time.Millisecond) // past the deadline
 
-	resp := postRenew(t, srv.URL, lease.LeaseID, "latecomer")
+	resp := postRenew(t, srv.URL, RenewRequest{LeaseID: lease.LeaseID, Worker: "latecomer", Name: lease.Name})
 	if resp.OK {
 		t.Fatal("late renewal revived an expired lease")
 	}
@@ -159,7 +159,7 @@ func TestRenewalExtendsDeadline(t *testing.T) {
 	lease, _ := postLease(t, srv.URL, "heartbeater")
 	for i := 0; i < 5; i++ {
 		time.Sleep(60 * time.Millisecond) // half a TTL: inside the window
-		if resp := postRenew(t, srv.URL, lease.LeaseID, "heartbeater"); !resp.OK {
+		if resp := postRenew(t, srv.URL, RenewRequest{LeaseID: lease.LeaseID, Worker: "heartbeater", Name: lease.Name}); !resp.OK {
 			t.Fatalf("renewal %d denied", i)
 		}
 	}

@@ -257,7 +257,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	return stats, loopErr
 }
 
-// workerLoop is one lease-pull goroutine.
+// workerLoop is one lease-pull goroutine. In steady state each report
+// carries the next lease back, one round trip per app; POST /lease is
+// the fallback when a report response brings no lease.
 func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 	w *eval.Worker, resolver *stream.SpecResolver,
 	stats *WorkerStats, accepted *atomic.Int64) error {
@@ -267,46 +269,57 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 	var renewWG sync.WaitGroup
 	defer renewWG.Wait()
 
+	var lease *LeaseResponse // carried in by the last report response
 	netFailures := 0
 	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if opts.MaxApps > 0 && accepted.Load() >= int64(opts.MaxApps) {
-			return nil
-		}
-
-		idx, base := set.snapshot()
-		lease, status, err := requestLease(ctx, opts, base)
-		if err != nil {
-			// A coordinator restart, an unpromoted standby (503), or a
-			// network blip: rotate the address list, back off and
-			// retry; the journal carries the run across the gap. The
-			// budget is sized to outlast a probe-driven failover.
-			set.rotate(idx)
-			netFailures++
-			if netFailures >= 200 {
-				return fmt.Errorf("dist: coordinator unreachable: %w", err)
+		if ctx.Err() != nil || budgetSpent(opts, accepted) {
+			if lease != nil {
+				// Hand the carried lease back so the coordinator
+				// requeues it now instead of waiting out the TTL.
+				reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
+					LeaseID: lease.LeaseID, Worker: opts.Name,
+					Name: lease.Name, Hash: lease.Hash,
+					Outcome: eval.OutcomeSkipped.String(),
+				})
 			}
-			sleepCtx(ctx, opts.PollInterval)
-			continue
-		}
-		netFailures = 0
-		switch status {
-		case http.StatusGone:
-			return nil // run complete
-		case http.StatusNoContent:
-			sleepCtx(ctx, opts.PollInterval)
-			continue
+			return nil
 		}
 
-		atomic.AddInt64(&stats.Leased, 1)
+		if lease == nil {
+			idx, base := set.snapshot()
+			var status int
+			var err error
+			lease, status, err = requestLease(ctx, opts, base)
+			if err != nil {
+				// A coordinator restart, an unpromoted standby (503), or
+				// a network blip: rotate the address list, back off and
+				// retry; the journal carries the run across the gap. The
+				// budget is sized to outlast a probe-driven failover.
+				set.rotate(idx)
+				netFailures++
+				if netFailures >= 200 {
+					return fmt.Errorf("dist: coordinator unreachable: %w", err)
+				}
+				sleepCtx(ctx, opts.PollInterval)
+				continue
+			}
+			netFailures = 0
+			switch status {
+			case http.StatusGone:
+				return nil // run complete
+			case http.StatusNoContent:
+				sleepCtx(ctx, opts.PollInterval)
+				continue
+			}
+			atomic.AddInt64(&stats.Leased, 1)
+		}
+
 		item, err := resolver.Resolve(&lease.Spec)
 		if err != nil {
 			// Unresolvable spec (e.g. the corpus dir vanished under a
 			// dir run): report failed so the run still converges
 			// instead of leasing this item forever.
-			reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
+			lease = reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
 				LeaseID: lease.LeaseID, Worker: opts.Name,
 				Name: lease.Name, Hash: lease.Hash,
 				Outcome: eval.OutcomeFailed.String(),
@@ -319,10 +332,10 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 			stopRenew = make(chan struct{})
 			renewWG.Add(1)
 			ttl := time.Duration(lease.TTLMillis) * time.Millisecond
-			go func(leaseID string) {
+			go func(req RenewRequest) {
 				defer renewWG.Done()
-				renewLoop(ctx, opts, set, leaseID, ttl, stats, stopRenew)
-			}(lease.LeaseID)
+				renewLoop(ctx, opts, set, req, ttl, stats, stopRenew)
+			}(RenewRequest{LeaseID: lease.LeaseID, Worker: opts.Name, Name: lease.Name})
 		}
 		if opts.PerAppDelay > 0 {
 			sleepCtx(ctx, opts.PerAppDelay)
@@ -331,7 +344,7 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		if stopRenew != nil {
 			close(stopRenew)
 		}
-		reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
+		lease = reportOutcome(ctx, opts, set, stats, accepted, ReportRequest{
 			LeaseID: lease.LeaseID, Worker: opts.Name,
 			// Report the locally recomputed identity, not the wire
 			// copy — the resume contract hashes what was analyzed.
@@ -346,13 +359,18 @@ func workerLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 	}
 }
 
+// budgetSpent reports whether the worker's MaxApps budget is used up.
+func budgetSpent(opts WorkerOptions, accepted *atomic.Int64) bool {
+	return opts.MaxApps > 0 && accepted.Load() >= int64(opts.MaxApps)
+}
+
 // renewLoop heartbeats one held lease every TTL/3 until stopped. A
 // transport failure rotates the coordinator list (the primary may be
 // gone); an OK:false answer means the lease is no longer tracked —
 // renewal stops, the analysis continues, and first-report-wins
 // resolves the race.
 func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
-	leaseID string, ttl time.Duration, stats *WorkerStats, stop <-chan struct{}) {
+	req RenewRequest, ttl time.Duration, stats *WorkerStats, stop <-chan struct{}) {
 	tick := time.NewTicker(renewInterval(ttl))
 	defer tick.Stop()
 	for {
@@ -365,9 +383,7 @@ func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 		}
 		idx, base := set.snapshot()
 		var resp RenewResponse
-		err := postJSON(ctx, opts.Client, base+"/renew", RenewRequest{
-			LeaseID: leaseID, Worker: opts.Name,
-		}, &resp)
+		err := postJSON(ctx, opts.Client, base+"/renew", req, &resp)
 		switch {
 		case err != nil:
 			set.rotate(idx)
@@ -388,11 +404,14 @@ func renewLoop(ctx context.Context, opts WorkerOptions, set *coordSet,
 }
 
 // reportOutcome delivers one report with bounded transport retries,
-// rotating the coordinator list between attempts. A report that cannot
-// be delivered is dropped: the lease expires and the app is reanalyzed
-// elsewhere, which the dedup map keeps single-fold.
+// rotating the coordinator list between attempts, and returns the next
+// lease when the response carries one. It asks for that lease only
+// while the worker is running and under its MaxApps budget. A report
+// that cannot be delivered is dropped: the lease expires and the app
+// is reanalyzed elsewhere, which first-report-wins keeps single-fold.
 func reportOutcome(ctx context.Context, opts WorkerOptions, set *coordSet,
-	stats *WorkerStats, accepted *atomic.Int64, req ReportRequest) {
+	stats *WorkerStats, accepted *atomic.Int64, req ReportRequest) *LeaseResponse {
+	req.Next = ctx.Err() == nil && !budgetSpent(opts, accepted)
 	// Even when ctx is dying (outcome "skipped"), try to hand the
 	// lease back promptly so the coordinator requeues without waiting
 	// out the TTL.
@@ -418,12 +437,17 @@ func reportOutcome(ctx context.Context, opts WorkerOptions, set *coordSet,
 	switch {
 	case err != nil:
 		atomic.AddInt64(&stats.ReportErrors, 1)
+		return nil
 	case resp.Duplicate:
 		atomic.AddInt64(&stats.Duplicates, 1)
 	case resp.Accepted:
 		atomic.AddInt64(&stats.Reported, 1)
 		accepted.Add(1)
 	}
+	if resp.Lease != nil {
+		atomic.AddInt64(&stats.Leased, 1)
+	}
+	return resp.Lease
 }
 
 // requestLease POSTs /lease. status is 200 (lease valid), 204 or 410.

@@ -244,10 +244,10 @@ func HashApp(app *core.App) string {
 }
 
 // FirehoseSource streams the synthetic Play-store firehose: apps are
-// generated on demand, deterministically from (seed, index), so the
-// stream is endless but resumable — app i has the same identity and
-// content on every run. Cap bounds the stream; 0 means unbounded
-// (the soak clock or a drain signal ends the run).
+// generated when their items run, deterministically from (seed,
+// index), so the stream is endless but resumable — app i has the same
+// identity and content on every run. Cap bounds the stream; 0 means
+// unbounded (the soak clock or a drain signal ends the run).
 type FirehoseSource struct {
 	fh   *synth.Firehose
 	next int64
@@ -260,11 +260,12 @@ func NewFirehoseSource(seed int64, cap int64) *FirehoseSource {
 	return &FirehoseSource{fh: synth.NewFirehose(seed), Cap: cap}
 }
 
-// Next generates app number s.next. Generation happens in the producer
-// goroutine — it is much cheaper than analysis, so a handful of
-// workers still saturate, and the bounded queue throttles generation
-// to consumption (backpressure keeps an endless firehose from
-// ballooning memory).
+// Next emits app number s.next in O(1): the item's name, hash and spec
+// are functions of (seed, index) alone, and the app itself is
+// generated inside Item.Run. Generation therefore runs on whichever
+// worker analyzes the item — a stream pool worker, or a remote worker
+// that resolved the leased spec — never in the producer goroutine or
+// under a coordinator's lock.
 func (s *FirehoseSource) Next(ctx context.Context) (*Item, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -279,21 +280,33 @@ func (s *FirehoseSource) Next(ctx context.Context) (*Item, error) {
 
 // firehoseItem builds the item for firehose app i — shared by the
 // local source and spec resolution, so a leased firehose app has the
-// same identity and content in every process.
+// same identity and content in every process. The app is generated on
+// the item's first Run and reused by its retries.
 func firehoseItem(fh *synth.Firehose, i int64) (*Item, error) {
-	ga, err := fh.App(i)
-	if err != nil {
-		return nil, err
+	if i < 0 {
+		return nil, fmt.Errorf("stream: negative firehose index %d", i)
 	}
-	app := ga.App
+	var (
+		once   sync.Once
+		app    *core.App
+		genErr error
+	)
 	return &Item{
-		Name: app.Name,
+		Name: synth.FirehoseName(i),
 		// The app's content is a pure function of (seed, index); the
 		// hash binds both so a journal from a different seed never
 		// satisfies a resume.
 		Hash: HashBytes([]byte(strconv.FormatInt(fh.Seed(), 10)), []byte(strconv.FormatInt(i, 10))),
 		Spec: &Spec{Kind: SpecFirehose, Seed: fh.Seed(), Index: i},
 		Run: func(ctx context.Context, checker *core.Checker) (*core.Report, error) {
+			once.Do(func() {
+				var ga synth.GeneratedApp
+				ga, genErr = fh.App(i)
+				app = ga.App
+			})
+			if genErr != nil {
+				return nil, genErr
+			}
 			return checker.CheckSafe(ctx, app)
 		},
 	}, nil

@@ -11,6 +11,7 @@ import (
 	"ppchecker/internal/core"
 	"ppchecker/internal/eval"
 	"ppchecker/internal/obs"
+	"ppchecker/internal/synth"
 )
 
 // bareStats strips the non-deterministic Metrics snapshot so RunStats
@@ -338,5 +339,43 @@ func TestRunCancel(t *testing.T) {
 	}
 	if replay2.Stats.Skipped != 0 {
 		t.Fatal("a skipped app was journaled")
+	}
+}
+
+// TestFirehoseNextDoesNotGenerate: FirehoseSource.Next names, hashes
+// and describes app i without generating it; generation waits for the
+// item's Run. When Next generated every app it averaged 102 allocations
+// per call (seed 1); without generation it makes 10, and the bound of
+// 16 leaves room for that while staying far below 102. The hashes are
+// pinned to the values that generating Next produced, so journals
+// written before the change still resume.
+func TestFirehoseNextDoesNotGenerate(t *testing.T) {
+	src := NewFirehoseSource(1, 0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := src.Next(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 16 {
+		t.Fatalf("FirehoseSource.Next: %.0f allocs per call, want <= 16", allocs)
+	}
+
+	for _, tc := range []struct {
+		seed, index int64
+		name, hash  string
+	}{
+		{1, 0, "com.firehose.app00000000", "4f6445f23360d69ea877ee7fbe10181f"},
+		{7919, 0, "com.firehose.app00000000", "099726950072e459ef4f6ae3965c9f7e"},
+		{42, 12345, "com.firehose.app00012345", "c0fcf446c06217e7a9906d31dd25916a"},
+	} {
+		item, err := firehoseItem(synth.NewFirehose(tc.seed), tc.index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if item.Name != tc.name || item.Hash != tc.hash {
+			t.Errorf("seed %d app %d: name %q hash %s, want %q %s", tc.seed, tc.index, item.Name, item.Hash, tc.name, tc.hash)
+		}
+	}
+	if _, err := firehoseItem(synth.NewFirehose(1), -1); err == nil {
+		t.Fatal("negative firehose index must fail in Next, not in Run")
 	}
 }

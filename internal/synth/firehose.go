@@ -84,12 +84,18 @@ func (f *Firehose) App(i int64) (GeneratedApp, error) {
 	return GeneratedApp{App: app, Truth: truthFor(plan)}, nil
 }
 
+// FirehoseName is the package name of firehose app i. It depends on
+// the index alone, so a source can name an app without generating it.
+func FirehoseName(i int64) string {
+	return fmt.Sprintf("com.firehose.app%08d", i)
+}
+
 // plan lays out app i's archetype. The rotation is by index, not rng,
 // so the archetype mix stays exact over any window.
 func (f *Firehose) plan(i int64, rng *rand.Rand) *AppPlan {
 	plan := &AppPlan{
 		Index: int(i),
-		Pkg:   fmt.Sprintf("com.firehose.app%08d", i),
+		Pkg:   FirehoseName(i),
 	}
 	// Every app covers 1-3 infos in both code and policy.
 	n := 1 + rng.Intn(3)

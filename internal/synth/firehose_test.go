@@ -148,3 +148,20 @@ func TestFirehoseNegativeIndex(t *testing.T) {
 		t.Fatal("negative index accepted")
 	}
 }
+
+// TestFirehoseNameMatchesApp: FirehoseName names app i without
+// generating it, and agrees with the generated app's package name.
+func TestFirehoseNameMatchesApp(t *testing.T) {
+	for _, seed := range []int64{1, 7919} {
+		fh := NewFirehose(seed)
+		for i := int64(0); i < 1000; i++ {
+			ga, err := fh.App(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := FirehoseName(i); got != ga.App.Name {
+				t.Fatalf("seed %d app %d: FirehoseName %q, generated %q", seed, i, got, ga.App.Name)
+			}
+		}
+	}
+}

@@ -7,7 +7,10 @@
 # per-app arena reuse, the graph Reset-vs-fresh differential, the
 # longitudinal engine's CheckSafe parity and store-poisoning tests (the
 # retry-exhaustion one races a 50 ms attempt deadline), and the
-# distributed-tier lease/renewal/failover tests run COUNT times each
+# distributed-tier lease/renewal/failover tests (including the
+# report-carries-next-lease round-trip and hand-back tests, the
+# live-set first-report-wins table and the stale-lease-id failover
+# test) run COUNT times each
 # (50 by default, override with COUNT=n or $1); the multi-process dist
 # SIGKILL soak and the chaos suite (short subset) run COUNT/10 times.
 # Any single failure fails the script.
@@ -37,11 +40,13 @@ go test ./internal/graphdb/ ./internal/core/ -race -count="${COUNT}" \
     -run 'TestFrozenConcurrentReads|TestResetMatchesFreshGraph|TestCheckSafeConcurrentArenaReuse'
 
 # The distributed tier's timing-sensitive surfaces: lease expiry +
-# reassignment + duplicate rejection, the renewal heartbeat protocol
-# (slow-app survival, late-renewal denial, sweep-clock latency), and
-# standby promotion.
+# reassignment + duplicate rejection, first-report-wins over the live
+# set, the renewal heartbeat protocol (slow-app survival, late-renewal
+# denial, sweep-clock latency), the next lease carried in a report
+# response (one round trip per app, hand-back on stop), and standby
+# promotion with stale lease ids.
 go test ./internal/dist/ -race -count="${COUNT}" \
-    -run 'TestLeaseExpiryReassignsAndDeduplicates|TestCoordinatorBitIdenticalToStreamRun|TestRenewalKeepsSlowAppAlive|TestNoRenewalReassignsSlowApp|TestLateRenewalCannotReviveExpiredLease|TestExpiryLatencyBounded|TestStandbyPromotionResumesBitIdentical'
+    -run 'TestLeaseExpiryReassignsAndDeduplicates|TestCoordinatorBitIdenticalToStreamRun|TestRenewalKeepsSlowAppAlive|TestNoRenewalReassignsSlowApp|TestLateRenewalCannotReviveExpiredLease|TestExpiryLatencyBounded|TestStandbyPromotionResumesBitIdentical|TestStaleLeaseIDCannotReleaseLiveLease|TestLiveSetFirstReportWins|TestCoordinatorStateFlat|TestReportCarriesNextLease|TestStoppingWorkerHandsBackCarriedLease'
 
 # The multi-process hammers spawn child worker processes per scenario,
 # so they get a smaller count: the SIGKILL soak and the randomized
