@@ -3,7 +3,6 @@ package apg
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"ppchecker/internal/graphdb"
 )
@@ -19,18 +18,18 @@ func (p *APG) WriteDot(w io.Writer) error {
 	fmt.Fprintln(w, "  rankdir=LR;")
 	fmt.Fprintln(w, "  node [shape=box, fontsize=10];")
 
-	// Stable ordering: methods by node id.
+	// Stable ordering: NodesByLabel lists methods by ascending node id.
 	type methodInfo struct {
 		id    graphdb.NodeID
 		class string
 		name  string
 	}
+	f := p.Frozen()
 	var methods []methodInfo
-	for _, id := range p.G.NodesByLabel(LabelMethod) {
-		n := p.G.Node(id)
+	for _, id := range f.NodesByLabel(LabelMethod) {
+		n := f.Node(id)
 		methods = append(methods, methodInfo{id: id, class: n.Prop("class"), name: n.Prop("name")})
 	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i].id < methods[j].id })
 
 	byClass := map[string][]methodInfo{}
 	var classes []string
@@ -57,18 +56,19 @@ func (p *APG) WriteDot(w io.Writer) error {
 		}
 		fmt.Fprintln(w, "  }")
 	}
-	styles := map[string]string{
-		EdgeCalls:    "",
-		EdgeCallback: " [style=dashed, color=darkorange, label=\"cb\"]",
-		EdgeICC:      " [style=dotted, color=purple, label=\"icc\"]",
+	// Within a method, edges come out grouped by label in this order.
+	styles := []struct{ label, attrs string }{
+		{EdgeCalls, ""},
+		{EdgeCallback, " [style=dashed, color=darkorange, label=\"cb\"]"},
+		{EdgeICC, " [style=dotted, color=purple, label=\"icc\"]"},
 	}
+	var targets []graphdb.NodeID
 	for _, m := range methods {
-		for _, e := range p.G.OutEdges(m.id) {
-			style, ok := styles[e.Label]
-			if !ok {
-				continue
+		for _, st := range styles {
+			targets = f.OutInto(targets[:0], m.id, st.label)
+			for _, to := range targets {
+				fmt.Fprintf(w, "  n%d -> n%d%s;\n", m.id, to, st.attrs)
 			}
-			fmt.Fprintf(w, "  n%d -> n%d%s;\n", e.From, e.To, style)
 		}
 	}
 	_, err := fmt.Fprintln(w, "}")

@@ -138,7 +138,7 @@ func (p *APG) CallPath(to dex.MethodRef) []dex.MethodRef {
 		}
 		var refs []dex.MethodRef
 		for _, id := range nodes {
-			n := p.G.Node(id)
+			n := f.Node(id)
 			if n == nil || n.Label != LabelMethod {
 				continue
 			}

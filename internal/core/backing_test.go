@@ -7,7 +7,7 @@ import (
 	"ppchecker/internal/policy"
 )
 
-// mapBacking is an in-memory CacheBacking; failGets makes every Load
+// mapBacking is an in-memory esa.Backing; failGets makes every Load
 // report a miss, the contract a dead remote shard degrades to.
 type mapBacking struct {
 	mu       sync.Mutex

@@ -34,33 +34,17 @@ type AnalysisCache struct {
 
 	// backing, when non-nil, is a remote read-through tier consulted
 	// on a local miss before computing, and written through (best
-	// effort) after a local compute. See CacheBacking.
-	backing     CacheBacking
+	// effort) after a local compute. See esa.Backing.
+	backing     esa.Backing
 	remoteHits  atomic.Int64
 	remoteFails atomic.Int64
 }
 
-// CacheBacking is an optional remote tier behind an AnalysisCache —
-// in the distributed topology, a consistent-hash-sharded artifact
-// service hosted by the coordinator. Load returns the serialized
-// analysis for a policy text, or false on miss OR error: the cache
-// cannot tell the difference and does not need to, it just computes
-// locally, so a dead shard degrades throughput, never correctness.
-// Store is best-effort write-through; implementations swallow their
-// own errors. Both must be safe for concurrent use.
-//
-// The key handed to Load/Store is the raw policy text; implementations
-// are expected to content-address it (and bind any config namespace)
-// themselves. Like local sharing, a backing must only ever be shared
-// between checkers with an identical policy-analyzer configuration.
-type CacheBacking interface {
-	Load(key string) ([]byte, bool)
-	Store(key string, data []byte)
-}
-
 // NewBackedAnalysisCache builds a cache with a remote read-through
-// tier behind it.
-func NewBackedAnalysisCache(b CacheBacking) *AnalysisCache {
+// tier behind it. The backing is keyed by raw policy text and, like
+// local sharing, must only be shared between checkers with an
+// identical policy-analyzer configuration.
+func NewBackedAnalysisCache(b esa.Backing) *AnalysisCache {
 	return &AnalysisCache{backing: b}
 }
 

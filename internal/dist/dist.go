@@ -25,7 +25,7 @@
 //	Shards       the coordinator hosts the longi artifact store and the
 //	             shared library-policy analysis cache as consistent-
 //	             hash-sharded HTTP endpoints (/shard/<i>/artifact/...).
-//	             Workers read through them (ShardedStore + Backing); a
+//	             Workers read through them (ShardedStore + esa.Backing); a
 //	             dead or slow shard degrades to local compute, never a
 //	             failed app.
 //

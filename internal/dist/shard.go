@@ -87,40 +87,32 @@ const (
 	esaInterpretStage = "esa-interpret"
 )
 
-// Backing adapts a longi.Store (typically a ShardedStore) into the
-// core.CacheBacking / esa.VecBacking contract: texts are content-
-// addressed with longi.StageKey under the backing's stage, bound to a
-// namespace so caches filled by differently-configured checkers can
-// never alias.
-type Backing struct {
+// backing adapts a longi.Store (typically a ShardedStore) into the
+// esa.Backing contract: texts are content-addressed with
+// longi.StageKey under the backing's stage, bound to a namespace so
+// caches filled by differently-configured checkers can never alias.
+type backing struct {
 	store     longi.Store
 	stage     string
 	namespace string
 }
 
-// NewBacking builds the library-policy cache backing over a store. The
-// namespace must encode everything that changes an analysis result
-// (checker configuration); every worker sharing a shard set must use
-// the same namespace for the same configuration.
-func NewBacking(store longi.Store, namespace string) *Backing {
-	return &Backing{store: store, stage: libAnalysisStage, namespace: namespace}
+// newBacking builds a cache backing over a store under one stage
+// (libAnalysisStage or esaInterpretStage). The namespace must encode
+// everything that changes a cached result (checker configuration);
+// every worker sharing a shard set must use the same namespace for the
+// same configuration.
+func newBacking(store longi.Store, stage, namespace string) *backing {
+	return &backing{store: store, stage: stage, namespace: namespace}
 }
 
-// NewVecBacking builds the ESA-interpret cache backing over the same
-// store, keyed under its own stage. The KB is compiled into the
-// binary, so the namespace only needs to separate incompatible
-// deployments, same as the lib-policy tier.
-func NewVecBacking(store longi.Store, namespace string) *Backing {
-	return &Backing{store: store, stage: esaInterpretStage, namespace: namespace}
-}
-
-func (b *Backing) key(text string) string {
+func (b *backing) key(text string) string {
 	return longi.StageKey(b.stage, []byte(b.namespace), []byte(text))
 }
 
 // Load fetches the serialized artifact for a text; any error is a miss
 // (the caller then computes locally).
-func (b *Backing) Load(text string) ([]byte, bool) {
+func (b *backing) Load(text string) ([]byte, bool) {
 	data, hit, err := b.store.Get(b.stage, b.key(text))
 	if err != nil || !hit {
 		return nil, false
@@ -129,6 +121,6 @@ func (b *Backing) Load(text string) ([]byte, bool) {
 }
 
 // Store writes a computed artifact through, best effort.
-func (b *Backing) Store(text string, data []byte) {
+func (b *backing) Store(text string, data []byte) {
 	_ = b.store.Put(b.stage, b.key(text), data)
 }

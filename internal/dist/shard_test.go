@@ -84,14 +84,14 @@ func TestShardedStoreDeadShardDegrades(t *testing.T) {
 }
 
 // TestBackingOverDeadShardsFallsBackToCompute: the full worker-side
-// stack — AnalysisCache over Backing over ShardedStore — survives a
+// stack — AnalysisCache over backing over ShardedStore — survives a
 // dead shard tier by computing locally.
 func TestBackingOverDeadShardsFallsBackToCompute(t *testing.T) {
 	s, servers, _ := shardFixture(t, 2)
 	for _, srv := range servers {
 		srv.Close()
 	}
-	cache := core.NewBackedAnalysisCache(NewBacking(s, "test-ns"))
+	cache := core.NewBackedAnalysisCache(newBacking(s, libAnalysisStage, "test-ns"))
 	computes := 0
 	got, cached := cache.Get("some policy text", func() *policy.Analysis {
 		computes++
@@ -106,8 +106,8 @@ func TestBackingOverDeadShardsFallsBackToCompute(t *testing.T) {
 // namespaces (two checker configurations) occupies distinct keys.
 func TestBackingNamespacesDoNotAlias(t *testing.T) {
 	store := longi.NewMemStore(0)
-	a := NewBacking(store, "config-a")
-	b := NewBacking(store, "config-b")
+	a := newBacking(store, libAnalysisStage, "config-a")
+	b := newBacking(store, libAnalysisStage, "config-b")
 	a.Store("text", []byte("analysis-a"))
 	if _, hit := b.Load("text"); hit {
 		t.Fatal("namespaces alias")

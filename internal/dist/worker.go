@@ -215,12 +215,12 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 		if err != nil {
 			return WorkerStats{}, err
 		}
-		libCache = core.NewBackedAnalysisCache(NewBacking(sharded, opts.CacheNamespace))
+		libCache = core.NewBackedAnalysisCache(newBacking(sharded, libAnalysisStage, opts.CacheNamespace))
 		// The ESA-interpret tier rides the same shard set under its own
 		// stage. The default index is process-global: overlapping
 		// RunWorker calls (in-process tests) race benignly — a cleared
 		// or swapped backing just degrades to local compute.
-		esa.Default().SetVecBacking(NewVecBacking(sharded, opts.CacheNamespace))
+		esa.Default().SetVecBacking(newBacking(sharded, esaInterpretStage, opts.CacheNamespace))
 		defer esa.Default().SetVecBacking(nil)
 	}
 

@@ -2,7 +2,7 @@ package esa
 
 // The optional remote tier behind the interpret memo. In the
 // distributed topology the same recurring policy/resource phrases are
-// interpreted by every worker process; a VecBacking lets a worker
+// interpreted by every worker process; a Backing lets a worker
 // consult the coordinator-hosted shard set on a memo miss before
 // paying the tokenize-and-accumulate build, and write its own builds
 // through for the rest of the fleet.
@@ -22,31 +22,39 @@ import (
 	"math"
 )
 
-// VecBacking is the remote read-through tier behind an Index's
-// interpret memo — structurally identical to core.CacheBacking (core
-// imports esa, so the contract is restated here rather than imported).
-// Load returns the serialized vector for a text, or false on miss OR
-// error; Store is best-effort write-through. Both must be safe for
-// concurrent use. A backing must only be shared between processes
-// running the same KB build.
-type VecBacking interface {
+// Backing is an optional remote read-through tier behind a text-keyed
+// memo: an Index's interpret memo here, and core's library-policy
+// AnalysisCache (core imports esa, so the one contract lives in this
+// leaf package). In the distributed topology it is a
+// consistent-hash-sharded artifact service hosted by the coordinator.
+//
+// Load returns the serialized artifact for a text, or false on miss
+// OR error: the caller cannot tell the difference and does not need
+// to, it just computes locally, so a dead shard degrades throughput,
+// never correctness. Store is best-effort write-through;
+// implementations swallow their own errors. Both must be safe for
+// concurrent use. The key is the raw text; implementations
+// content-address it and bind any configuration namespace themselves.
+// A backing must only be shared between processes whose computations
+// are identical (same KB build, same analyzer configuration).
+type Backing interface {
 	Load(key string) ([]byte, bool)
 	Store(key string, data []byte)
 }
 
-// vecBackingBox wraps the interface so atomic.Pointer can represent
+// backingBox wraps the interface so atomic.Pointer can represent
 // "backing cleared" (nil box field) distinctly from "never set".
-type vecBackingBox struct{ b VecBacking }
+type backingBox struct{ b Backing }
 
 // SetVecBacking installs (or, with nil, clears) the remote tier behind
 // this index's interpret memo. Safe to call concurrently with lookups:
 // in-flight operations use whichever backing they loaded, and a
 // cleared or swapped backing degrades to local compute.
-func (x *Index) SetVecBacking(b VecBacking) {
-	x.backing.Store(&vecBackingBox{b: b})
+func (x *Index) SetVecBacking(b Backing) {
+	x.backing.Store(&backingBox{b: b})
 }
 
-func (x *Index) vecBacking() VecBacking {
+func (x *Index) vecBacking() Backing {
 	if box := x.backing.Load(); box != nil {
 		return box.b
 	}

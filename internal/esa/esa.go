@@ -35,7 +35,7 @@ type Index struct {
 
 	// backing is the optional remote interpret tier (see SetVecBacking
 	// in backing.go); zero value means none.
-	backing atomic.Pointer[vecBackingBox]
+	backing atomic.Pointer[backingBox]
 }
 
 type posting struct {
@@ -69,20 +69,29 @@ func New(kb []Article) *Index {
 		}
 	}
 	n := float64(len(kb))
+	var terms []string
 	for i, tf := range termFreqs {
+		// Sum the norm in sorted term order: map order would make the
+		// low bits of every posting weight differ between two builds of
+		// the same KB, e.g. between the processes sharing remote
+		// vectors.
+		terms = terms[:0]
+		for t := range tf {
+			terms = append(terms, t)
+		}
+		sort.Strings(terms)
 		var norm float64
-		weights := map[string]float64{}
-		for t, f := range tf {
-			w := (1 + math.Log(f)) * math.Log(1+n/float64(df[t]))
-			weights[t] = w
-			norm += w * w
+		weights := make([]float64, len(terms))
+		for j, t := range terms {
+			weights[j] = (1 + math.Log(tf[t])) * math.Log(1+n/float64(df[t]))
+			norm += weights[j] * weights[j]
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
 			continue
 		}
-		for t, w := range weights {
-			idx.postings[t] = append(idx.postings[t], posting{concept: i, weight: w / norm})
+		for j, t := range terms {
+			idx.postings[t] = append(idx.postings[t], posting{concept: i, weight: weights[j] / norm})
 		}
 	}
 	// Deterministic postings order.

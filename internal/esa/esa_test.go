@@ -201,3 +201,23 @@ func TestStem(t *testing.T) {
 		}
 	}
 }
+
+// TestNewBitDeterministic: two builds of the same KB carry
+// bit-identical posting weights, so separate processes interpret a
+// text to the same vector and a remote vector equals the local build.
+func TestNewBitDeterministic(t *testing.T) {
+	a := New(BuiltinKB())
+	for i := 0; i < 5; i++ {
+		b := New(BuiltinKB())
+		if len(b.postings) != len(a.postings) {
+			t.Fatalf("posting lists %d vs %d", len(b.postings), len(a.postings))
+		}
+		for term, ps := range a.postings {
+			for j, p := range ps {
+				if q := b.postings[term][j]; q.concept != p.concept || math.Float64bits(q.weight) != math.Float64bits(p.weight) {
+					t.Fatalf("term %q posting %d: %+v vs %+v", term, j, p, q)
+				}
+			}
+		}
+	}
+}

@@ -94,7 +94,7 @@ type CacheStats struct {
 	// that allocated a fresh buffer.
 	PoolGets, PoolNews int64
 	// RemoteHits counts memo misses served by the remote tier (see
-	// VecBacking); RemoteFails counts remote payloads rejected as
+	// Backing); RemoteFails counts remote payloads rejected as
 	// corrupt plus encode failures. Zero without a backing.
 	RemoteHits, RemoteFails int64
 }

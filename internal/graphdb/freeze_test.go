@@ -3,14 +3,14 @@ package graphdb
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
-// randomGraph builds a random labelled graph: nLo..nHi nodes over a few
-// node labels, ~2 edges per node over a few edge labels, and properties
-// drawn from a small vocabulary so FindByProp has collisions to find.
+// randomGraph builds a random labelled graph: 2..25 nodes over a few
+// node labels, ~2 edges per node over a few edge labels, and
+// properties drawn from a small vocabulary.
 func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	g := New()
 	nodeLabels := []string{"class", "method", "stmt"}
@@ -19,14 +19,11 @@ func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	n := 2 + r.Intn(24)
 	ids := make([]NodeID, n)
 	for i := range ids {
+		label := nodeLabels[r.Intn(len(nodeLabels))]
 		if r.Intn(3) == 0 {
-			ids[i] = g.AddNode(nodeLabels[r.Intn(len(nodeLabels))], map[string]string{
-				"name": props[r.Intn(len(props))],
-				"kind": props[r.Intn(len(props))],
-			})
+			ids[i] = g.AddNodeKV(label, "kind", props[r.Intn(len(props))], "name", props[r.Intn(len(props))])
 		} else {
-			ids[i] = g.AddNodeKV(nodeLabels[r.Intn(len(nodeLabels))],
-				"name", props[r.Intn(len(props))])
+			ids[i] = g.AddNodeKV(label, "name", props[r.Intn(len(props))])
 		}
 	}
 	for i := 0; i < n*2; i++ {
@@ -35,9 +32,10 @@ func randomGraph(r *rand.Rand) (*Graph, []NodeID) {
 	return g, ids
 }
 
-// TestFrozenNeighborsDifferential: Out/In on the frozen view equal the
-// mutable graph exactly (order included) for every node and label,
-// including the unfiltered "" label and labels absent from the graph.
+// TestFrozenNeighborsDifferential: OutInto and OutDegree on the frozen
+// view equal the builder's out runs exactly (order included) for every
+// node and label, including the unfiltered "" label, labels absent
+// from the graph, and ids outside it.
 func TestFrozenNeighborsDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -46,22 +44,12 @@ func TestFrozenNeighborsDifferential(t *testing.T) {
 		labels := []string{"", "calls", "cfg", "du", "contains", "nosuch"}
 		for _, id := range append(ids, 0, NodeID(len(ids)+5)) {
 			for _, lab := range labels {
-				if !sameIDs(g.Out(id, lab), fz.Out(id, lab)) {
-					t.Logf("Out(%d,%q): %v vs %v", id, lab, g.Out(id, lab), fz.Out(id, lab))
-					return false
-				}
-				if !sameIDs(g.In(id, lab), fz.In(id, lab)) {
-					t.Logf("In(%d,%q): %v vs %v", id, lab, g.In(id, lab), fz.In(id, lab))
-					return false
-				}
-				if !sameIDs(g.Out(id, lab), fz.OutInto(nil, id, lab)) {
-					return false
-				}
-				if !sameIDs(g.In(id, lab), fz.InInto(nil, id, lab)) {
+				if want, got := refOut(g, id, lab), fz.OutInto(nil, id, lab); !sameIDs(want, got) {
+					t.Logf("OutInto(%d,%q): %v, want %v", id, lab, got, want)
 					return false
 				}
 			}
-			if len(g.Out(id, "")) != fz.OutDegree(id) {
+			if len(refOut(g, id, "")) != fz.OutDegree(id) {
 				return false
 			}
 		}
@@ -72,8 +60,28 @@ func TestFrozenNeighborsDifferential(t *testing.T) {
 	}
 }
 
-// TestFrozenReachableDifferential: frozen reachability (both the map
-// form and the VisitSet form) equals the mutable BFS closure for every
+// reachableDiff returns "" when ReachableVisit over fz visits exactly
+// the reference closure, in the same order, else the first difference.
+func reachableDiff(g *Graph, fz *Frozen, seeds []NodeID, labels []string) string {
+	want, _ := refBFS(g, seeds, labels)
+	vs := fz.ReachableVisit(seeds, labels)
+	if !sameIDs(vs.Order, want) || vs.Len() != len(want) {
+		return fmt.Sprintf("ReachableVisit(%v,%v).Order = %v, want %v", seeds, labels, vs.Order, want)
+	}
+	in := map[NodeID]bool{}
+	for _, id := range want {
+		in[id] = true
+	}
+	for id := NodeID(-1); id <= NodeID(len(g.nodes)+2); id++ {
+		if vs.Has(id) != in[id] {
+			return fmt.Sprintf("ReachableVisit(%v,%v).Has(%d) = %v", seeds, labels, id, vs.Has(id))
+		}
+	}
+	return ""
+}
+
+// TestFrozenReachableDifferential: frozen reachability equals the
+// reference closure — membership and BFS order — for every
 // label-filter shape.
 func TestFrozenReachableDifferential(t *testing.T) {
 	f := func(seed int64) bool {
@@ -83,25 +91,9 @@ func TestFrozenReachableDifferential(t *testing.T) {
 		filters := [][]string{nil, {"calls"}, {"calls", "cfg"}, {"nosuch"}, {}}
 		for _, labels := range filters {
 			seeds := []NodeID{ids[r.Intn(len(ids))], ids[r.Intn(len(ids))], 999}
-			want := g.Reachable(seeds, labels)
-			got := fz.Reachable(seeds, labels)
-			if !reflect.DeepEqual(want, got) {
-				t.Logf("Reachable(%v,%v): %v vs %v", seeds, labels, want, got)
+			if d := reachableDiff(g, fz, seeds, labels); d != "" {
+				t.Log(d)
 				return false
-			}
-			vs := fz.ReachableVisit(seeds, labels)
-			if vs.Len() != len(want) {
-				return false
-			}
-			for id := range want {
-				if !vs.Has(id) {
-					return false
-				}
-			}
-			for _, id := range append(ids, 999) {
-				if vs.Has(id) != want[id] {
-					return false
-				}
 			}
 		}
 		return true
@@ -112,8 +104,8 @@ func TestFrozenReachableDifferential(t *testing.T) {
 }
 
 // TestFrozenPathDifferential: frozen path search returns exactly the
-// mutable graph's shortest path — both BFS implementations visit edges
-// in insertion order, so even tie-breaks agree.
+// reference shortest path — both visit edges in insertion order, so
+// even tie-breaks agree.
 func TestFrozenPathDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -123,62 +115,107 @@ func TestFrozenPathDifferential(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			from, to := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
 			for _, labels := range filters {
-				want := g.Path(from, to, labels)
-				got := fz.Path(from, to, labels)
-				if !reflect.DeepEqual(want, got) {
-					t.Logf("Path(%d,%d,%v): %v vs %v", from, to, labels, want, got)
+				want, got := refPath(g, from, to, labels), fz.Path(from, to, labels)
+				if !sameIDs(want, got) {
+					t.Logf("Path(%d,%d,%v): %v, want %v", from, to, labels, got, want)
 					return false
 				}
 			}
 		}
-		// Unknown endpoints stay nil on both sides.
-		return g.Path(ids[0], 999, nil) == nil && fz.Path(ids[0], 999, nil) == nil &&
-			g.Path(999, ids[0], nil) == nil && fz.Path(999, ids[0], nil) == nil
+		// Unknown endpoints are nil.
+		return fz.Path(ids[0], 999, nil) == nil && fz.Path(999, ids[0], nil) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFrozenLookupDifferential: node lookups, label lists, property
-// scans, and the fluent Query API agree between the two views, and the
-// property scans match a brute-force reference over the node list.
+// TestFrozenWideLabelDifferential: a graph with 70 distinct edge
+// labels pushes interned label ids past 63, where the traversal filter
+// leaves its bitmask for a set. Filters naming only ids ≥ 64, a mix of
+// both sides, and a mix with unknown labels must still match the
+// reference closure and paths exactly.
+func TestFrozenWideLabelDifferential(t *testing.T) {
+	const nLabels = 70
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := New()
+		n := 10 + r.Intn(30)
+		for i := 0; i < n; i++ {
+			g.AddNodeKV("n")
+		}
+		// Every label appears at least once; the rest are random.
+		for l := 0; l < nLabels; l++ {
+			_ = g.AddEdge(NodeID(1+r.Intn(n)), NodeID(1+r.Intn(n)), fmt.Sprintf("e%d", l))
+		}
+		for i := 0; i < 3*n; i++ {
+			_ = g.AddEdge(NodeID(1+r.Intn(n)), NodeID(1+r.Intn(n)), fmt.Sprintf("e%d", r.Intn(nLabels)))
+		}
+		fz := g.Freeze()
+		byID := make([]string, len(fz.edgeLabelID))
+		for l, id := range fz.edgeLabelID {
+			byID[id] = l
+		}
+		if len(byID) != nLabels {
+			t.Logf("interned %d labels, want %d", len(byID), nLabels)
+			return false
+		}
+		pick := func(lo, hi, k int) []string {
+			var out []string
+			for i := 0; i < k; i++ {
+				out = append(out, byID[lo+r.Intn(hi-lo)])
+			}
+			return out
+		}
+		high := pick(64, nLabels, 4)
+		mixed := append(pick(0, 64, 20), pick(64, nLabels, 3)...)
+		r.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		filters := [][]string{
+			high,
+			mixed,
+			append(pick(0, 64, 30), byID[nLabels-1], "nosuch"),
+			{"nosuch", byID[64]},
+			byID, // every label, as a filter
+		}
+		for _, labels := range filters {
+			for trial := 0; trial < 4; trial++ {
+				from, to := NodeID(1+r.Intn(n)), NodeID(1+r.Intn(n))
+				if d := reachableDiff(g, fz, []NodeID{from}, labels); d != "" {
+					t.Log(d)
+					return false
+				}
+				if want, got := refPath(g, from, to, labels), fz.Path(from, to, labels); !sameIDs(want, got) {
+					t.Logf("Path(%d,%d,%v): %v, want %v", from, to, labels, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrozenLookupDifferential: node lookups alias the builder's node
+// storage and label lists equal a scan of the builder's nodes.
 func TestFrozenLookupDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, ids := randomGraph(r)
 		fz := g.Freeze()
-		if g.NodeCount() != fz.NodeCount() || g.EdgeCount() != fz.EdgeCount() {
-			return false
-		}
 		for _, label := range []string{"class", "method", "stmt", "nosuch"} {
-			if !sameIDs(g.NodesByLabel(label), fz.NodesByLabel(label)) {
+			if !sameIDs(fz.NodesByLabel(label), refByLabel(g, label)) {
+				t.Logf("NodesByLabel(%q) = %v, want %v", label, fz.NodesByLabel(label), refByLabel(g, label))
 				return false
-			}
-		}
-		for _, key := range []string{"name", "kind", "nosuch"} {
-			for _, val := range []string{"a", "b", "c", ""} {
-				want := refFindByProp(g, key, val)
-				if !sameIDs(g.FindByProp(key, val), want) || !sameIDs(fz.FindByProp(key, val), want) {
-					t.Logf("FindByProp(%q,%q): %v / %v, want %v", key, val,
-						g.FindByProp(key, val), fz.FindByProp(key, val), want)
-					return false
-				}
 			}
 		}
 		for _, id := range ids {
-			if g.Node(id) != fz.Node(id) {
+			if fz.Node(id) != &g.nodes[id-1] {
 				return false
 			}
 		}
-		mq := g.Query("method").Where("name", "a").Out("calls").Collect()
-		fq := fz.Query("method").Where("name", "a").Out("calls").Collect()
-		if !sameIDs(mq, fq) {
-			return false
-		}
-		mq = g.QueryFrom(ids...).In("cfg").Collect()
-		fq = fz.QueryFrom(ids...).In("cfg").Collect()
-		return sameIDs(mq, fq)
+		return fz.Node(0) == nil && fz.Node(NodeID(len(ids)+1)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -186,7 +223,7 @@ func TestFrozenLookupDifferential(t *testing.T) {
 }
 
 // TestFreezeSnapshot: mutations after Freeze are invisible to the
-// frozen view.
+// frozen view, and the builder keeps working.
 func TestFreezeSnapshot(t *testing.T) {
 	g := New()
 	a := g.AddNodeKV("m", "name", "a")
@@ -197,59 +234,49 @@ func TestFreezeSnapshot(t *testing.T) {
 	fz := g.Freeze()
 	c := g.AddNodeKV("m", "name", "a")
 	_ = g.AddEdge(b, c, "calls")
-	if fz.NodeCount() != 2 || fz.EdgeCount() != 1 {
-		t.Fatalf("snapshot grew: %d nodes %d edges", fz.NodeCount(), fz.EdgeCount())
-	}
 	if fz.Node(c) != nil {
 		t.Fatal("snapshot sees post-freeze node")
 	}
 	if got := fz.NodesByLabel("m"); len(got) != 2 {
 		t.Fatalf("snapshot label list grew: %v", got)
 	}
-	if got := fz.FindByProp("name", "a"); len(got) != 1 || got[0] != a {
-		t.Fatalf("snapshot prop scan = %v", got)
+	if fz.OutDegree(b) != 0 {
+		t.Fatalf("snapshot sees post-freeze edge: %v", fz.OutInto(nil, b, ""))
 	}
-	if got := fz.Reachable([]NodeID{b}, nil); len(got) != 1 {
-		t.Fatalf("snapshot reachability sees new edge: %v", got)
+	if got := fz.ReachableVisit([]NodeID{b}, nil); got.Len() != 1 {
+		t.Fatalf("snapshot reachability sees new edge: %v", got.Order)
 	}
-	// The builder keeps working.
-	if got := g.Reachable([]NodeID{a}, nil); len(got) != 3 {
-		t.Fatalf("builder closure = %v", got)
+	if got := g.Freeze().ReachableVisit([]NodeID{a}, nil); got.Len() != 3 {
+		t.Fatalf("builder closure = %v", got.Order)
 	}
 }
 
-// TestNodesSorted: Nodes() returns ascending IDs on both views.
-func TestNodesSorted(t *testing.T) {
+// TestNodesByLabelSorted: label lists come back in ascending ID order.
+func TestNodesByLabelSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g, _ := randomGraph(r)
 	fz := g.Freeze()
-	for name, nodes := range map[string][]*Node{"graph": g.Nodes(), "frozen": fz.Nodes()} {
-		if len(nodes) != g.NodeCount() {
-			t.Fatalf("%s Nodes() len = %d", name, len(nodes))
+	total := 0
+	for _, label := range []string{"class", "method", "stmt"} {
+		ids := fz.NodesByLabel(label)
+		total += len(ids)
+		if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
+			t.Fatalf("NodesByLabel(%q) = %v", label, ids)
 		}
-		for i, n := range nodes {
-			if n.ID != NodeID(i+1) {
-				t.Fatalf("%s Nodes()[%d].ID = %d", name, i, n.ID)
-			}
-		}
+	}
+	if total != len(g.nodes) {
+		t.Fatalf("label lists cover %d of %d nodes", total, len(g.nodes))
 	}
 }
 
-// TestPropsKV: kv-slice properties behave like the former map.
+// TestPropsKV: kv-slice properties behave like a map lookup, and an
+// odd key/value list is rejected.
 func TestPropsKV(t *testing.T) {
 	g := New()
 	id := g.AddNodeKV("x", "op", "invoke", "index", "3")
-	n := g.Node(id)
+	n := g.Freeze().Node(id)
 	if n.Prop("op") != "invoke" || n.Prop("index") != "3" || n.Prop("nosuch") != "" {
 		t.Fatalf("props = %v", n.Props)
-	}
-	if !n.Props.Has("op") || n.Props.Has("nosuch") || n.Props.Len() != 2 {
-		t.Fatalf("Has/Len wrong: %v", n.Props)
-	}
-	// AddNode's map form sorts keys for deterministic storage.
-	id2 := g.AddNode("x", map[string]string{"b": "2", "a": "1"})
-	if got := fmt.Sprint(g.Node(id2).Props); got != "[a 1 b 2]" {
-		t.Fatalf("map-form props = %s", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -257,31 +284,4 @@ func TestPropsKV(t *testing.T) {
 		}
 	}()
 	g.AddNodeKV("x", "dangling")
-}
-
-// refFindByProp is the brute-force FindByProp oracle: every node, in
-// ID order, that carries key with exactly value.
-func refFindByProp(g *Graph, key, value string) []NodeID {
-	var out []NodeID
-	for _, n := range g.Nodes() {
-		for i := 0; i+1 < len(n.Props); i += 2 {
-			if n.Props[i] == key && n.Props[i+1] == value {
-				out = append(out, n.ID)
-				break
-			}
-		}
-	}
-	return out
-}
-
-func sameIDs(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,22 +1,20 @@
-// Package graphdb is a small in-memory property-graph database. The
-// paper stores the Android Property Graph in a graph database and
-// answers every static-analysis question as a graph query; this package
-// provides the same contract: labelled nodes with string properties,
-// labelled edges, property lookups, traversals, reachability, and path
-// search.
+// Package graphdb is a small in-memory property graph. The paper keeps
+// the Android Property Graph in a graph database and phrases its
+// analyses as graph queries; the analyses here need only two of those
+// query shapes — forward closure and shortest path over a set of edge
+// labels — plus label scans and filtered adjacency, so the package
+// offers exactly that rather than a general query language.
 //
-// The package has two layers. *Graph is the mutable build-time
-// representation: slice-backed adjacency keyed by dense sequential
-// NodeIDs, cheap to append to. Freeze compiles a Graph into a *Frozen
-// compressed-sparse-row view (see freeze.go) that answers the same
-// traversal queries with contiguous arrays and interned labels; the
-// analysis passes build mutably and query frozen.
+// The package has two layers. *Graph is the build API: labelled nodes
+// with string properties under dense sequential NodeIDs, and labelled
+// out-edge runs, cheap to append to. Freeze compiles a Graph into a
+// *Frozen compressed-sparse-row view (see freeze.go) that answers the
+// read API — node lookup, label scans, filtered out-adjacency,
+// closure and path — from contiguous arrays; the analysis passes build
+// mutably and read frozen.
 package graphdb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node. IDs are dense and sequential starting at 1,
 // in insertion order.
@@ -38,19 +36,6 @@ func (p Props) Get(key string) string {
 	return ""
 }
 
-// Has reports whether key is present.
-func (p Props) Has(key string) bool {
-	for i := 0; i+1 < len(p); i += 2 {
-		if p[i] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of key/value pairs.
-func (p Props) Len() int { return len(p) / 2 }
-
 // Node is a labelled node with properties.
 type Node struct {
 	ID    NodeID
@@ -61,22 +46,21 @@ type Node struct {
 // Prop returns a property value ("" when absent).
 func (n *Node) Prop(key string) string { return n.Props.Get(key) }
 
-// Edge is a directed labelled edge.
-type Edge struct {
-	From, To NodeID
-	Label    string
+// edge is one entry of a node's out-edge run.
+type edge struct {
+	to    NodeID
+	label string
 }
 
-// Graph is the mutable database. It is not safe for concurrent
-// mutation; concurrent reads are safe after construction.
+// Graph is the mutable build-time graph. It is not safe for concurrent
+// use; Freeze it and read the Frozen view.
 type Graph struct {
 	// nodes[i] is the node with ID i+1, stored by value; IDs are dense
-	// so a slice replaces the former map[NodeID]*Node, every iteration
-	// is ID-ordered by construction, and there is no per-node heap
-	// object — Node pointers handed out point into this backing array.
+	// so every iteration is ID-ordered by construction, and there is no
+	// per-node heap object — Node pointers handed out point into this
+	// backing array.
 	nodes     []Node
-	out       [][]Edge
-	in        [][]Edge
+	out       [][]edge
 	byLabel   map[string][]NodeID
 	edgeCount int
 
@@ -102,16 +86,13 @@ func New() *Graph {
 	return &Graph{byLabel: map[string][]NodeID{}}
 }
 
-// node returns the node for id, or nil when out of range.
-func (g *Graph) node(id NodeID) *Node {
-	if id < 1 || int64(id) > int64(len(g.nodes)) {
-		return nil
-	}
-	return &g.nodes[id-1]
+// has reports whether id names a node of the graph.
+func (g *Graph) has(id NodeID) bool {
+	return id >= 1 && int64(id) <= int64(len(g.nodes))
 }
 
 // Reset clears the graph for rebuilding while keeping every allocated
-// buffer: node storage, per-node adjacency runs, label lists, and the
+// buffer: node storage, per-node edge runs, label lists, and the
 // arrays of the last Frozen view (which the next Freeze reuses). What
 // it retains is bounded by the largest graph built so far plus one
 // label-list entry per distinct node label, so Reset and the next
@@ -123,10 +104,9 @@ func (g *Graph) node(id NodeID) *Node {
 func (g *Graph) Reset() {
 	clear(g.nodes) // release retained label/property strings
 	g.nodes = g.nodes[:0]
-	// Truncating the outer slices keeps the per-node edge runs in the
-	// backing array; growAdj reclaims their capacity one node at a time.
+	// Truncating the outer slice keeps the per-node edge runs in the
+	// backing array; addNode reclaims their capacity one node at a time.
 	g.out = g.out[:0]
-	g.in = g.in[:0]
 	for label, ids := range g.byLabel {
 		g.byLabel[label] = ids[:0]
 	}
@@ -143,31 +123,26 @@ func (g *Graph) Reset() {
 	}
 }
 
-// AddNode inserts a node and returns its id. props may be nil.
-func (g *Graph) AddNode(label string, props map[string]string) NodeID {
-	kv := make(Props, 0, len(props)*2)
-	if len(props) > 0 {
-		keys := make([]string, 0, len(props))
-		for k := range props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			kv = append(kv, k, props[k])
-		}
-	}
-	return g.addNode(label, kv)
-}
-
 // AddNodeKV inserts a node whose properties are given as alternating
-// key/value pairs, avoiding the map allocation of AddNode. The pairs
-// are copied into graph-owned storage, so callers may reuse the backing
-// slice immediately.
+// key/value pairs and returns its id. The pairs are copied into
+// graph-owned storage, so callers may reuse the backing slice
+// immediately.
 func (g *Graph) AddNodeKV(label string, kv ...string) NodeID {
 	if len(kv)%2 != 0 {
 		panic("graphdb: AddNodeKV requires an even number of key/value strings")
 	}
-	return g.addNode(label, kv)
+	id := NodeID(len(g.nodes) + 1)
+	g.nodes = append(g.nodes, Node{ID: id, Label: label, Props: g.internProps(kv)})
+	// Extend the out column by one empty run, reusing the run capacity
+	// a Reset left behind in the backing array when possible.
+	if len(g.out) < cap(g.out) {
+		g.out = g.out[:len(g.out)+1]
+		g.out[len(g.out)-1] = g.out[len(g.out)-1][:0]
+	} else {
+		g.out = append(g.out, nil)
+	}
+	g.byLabel[label] = append(g.byLabel[label], id)
+	return id
 }
 
 // internProps copies kv into the property arena and returns the aliased
@@ -197,197 +172,15 @@ func (g *Graph) internProps(kv []string) Props {
 	return Props(g.propCur[off:len(g.propCur):len(g.propCur)])
 }
 
-func (g *Graph) addNode(label string, kv []string) NodeID {
-	id := NodeID(len(g.nodes) + 1)
-	g.nodes = append(g.nodes, Node{ID: id, Label: label, Props: g.internProps(kv)})
-	g.out = growAdj(g.out)
-	g.in = growAdj(g.in)
-	g.byLabel[label] = append(g.byLabel[label], id)
-	return id
-}
-
-// growAdj extends an adjacency column by one empty edge run, reusing
-// the run capacity a Reset left behind in the backing array when
-// possible.
-func growAdj(adj [][]Edge) [][]Edge {
-	if len(adj) < cap(adj) {
-		adj = adj[:len(adj)+1]
-		adj[len(adj)-1] = adj[len(adj)-1][:0]
-		return adj
-	}
-	return append(adj, nil)
-}
-
 // AddEdge inserts a directed edge. Both endpoints must exist.
 func (g *Graph) AddEdge(from, to NodeID, label string) error {
-	if g.node(from) == nil {
+	if !g.has(from) {
 		return fmt.Errorf("graphdb: edge from unknown node %d", from)
 	}
-	if g.node(to) == nil {
+	if !g.has(to) {
 		return fmt.Errorf("graphdb: edge to unknown node %d", to)
 	}
-	e := Edge{From: from, To: to, Label: label}
-	g.out[from-1] = append(g.out[from-1], e)
-	g.in[to-1] = append(g.in[to-1], e)
+	g.out[from-1] = append(g.out[from-1], edge{to: to, label: label})
 	g.edgeCount++
 	return nil
-}
-
-// Node returns a node by id (nil when absent).
-func (g *Graph) Node(id NodeID) *Node { return g.node(id) }
-
-// NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
-
-// EdgeCount returns the number of edges.
-func (g *Graph) EdgeCount() int { return g.edgeCount }
-
-// Nodes returns all nodes in ascending ID order. The slice is fresh;
-// the pointers share the graph's node storage.
-func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, len(g.nodes))
-	for i := range g.nodes {
-		out[i] = &g.nodes[i]
-	}
-	return out
-}
-
-// NodesByLabel returns node ids with the given label, in insertion
-// (= ascending ID) order.
-func (g *Graph) NodesByLabel(label string) []NodeID {
-	return append([]NodeID(nil), g.byLabel[label]...)
-}
-
-// FindByProp returns, in ascending ID order, the nodes that have
-// property key with the given value. A node without key never matches,
-// not even value "".
-func (g *Graph) FindByProp(key, value string) []NodeID {
-	return findByProp(g.nodes, key, value)
-}
-
-// findByProp is the ID-ordered property scan shared by both views.
-func findByProp(nodes []Node, key, value string) []NodeID {
-	var out []NodeID
-	for i := range nodes {
-		if p := nodes[i].Props; p.Has(key) && p.Get(key) == value {
-			out = append(out, nodes[i].ID)
-		}
-	}
-	return out
-}
-
-// Out returns the targets of edges leaving id; label == "" matches all.
-func (g *Graph) Out(id NodeID, label string) []NodeID {
-	if g.node(id) == nil {
-		return nil
-	}
-	var out []NodeID
-	for _, e := range g.out[id-1] {
-		if label == "" || e.Label == label {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// In returns the sources of edges entering id; label == "" matches all.
-func (g *Graph) In(id NodeID, label string) []NodeID {
-	if g.node(id) == nil {
-		return nil
-	}
-	var out []NodeID
-	for _, e := range g.in[id-1] {
-		if label == "" || e.Label == label {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
-// OutEdges returns copies of the outgoing edges of id.
-func (g *Graph) OutEdges(id NodeID) []Edge {
-	if g.node(id) == nil {
-		return nil
-	}
-	return append([]Edge(nil), g.out[id-1]...)
-}
-
-// Reachable computes the forward closure from the seed set following
-// edges whose label is in labels (nil = all labels).
-func (g *Graph) Reachable(seeds []NodeID, labels []string) map[NodeID]bool {
-	allow := labelSet(labels)
-	seen := map[NodeID]bool{}
-	queue := make([]NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.node(s) != nil && !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.out[cur-1] {
-			if allow != nil && !allow[e.Label] {
-				continue
-			}
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// Path returns one shortest path from from to to following edges whose
-// label is in labels (nil = all), or nil when unreachable.
-func (g *Graph) Path(from, to NodeID, labels []string) []NodeID {
-	if g.node(from) == nil || g.node(to) == nil {
-		return nil
-	}
-	allow := labelSet(labels)
-	prev := map[NodeID]NodeID{from: from}
-	queue := []NodeID{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			break
-		}
-		for _, e := range g.out[cur-1] {
-			if allow != nil && !allow[e.Label] {
-				continue
-			}
-			if _, seen := prev[e.To]; !seen {
-				prev[e.To] = cur
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	if _, ok := prev[to]; !ok {
-		return nil
-	}
-	var path []NodeID
-	for cur := to; ; cur = prev[cur] {
-		path = append(path, cur)
-		if cur == from {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
-func labelSet(labels []string) map[string]bool {
-	if labels == nil {
-		return nil
-	}
-	m := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		m[l] = true
-	}
-	return m
 }

@@ -11,7 +11,7 @@ func buildSample(t *testing.T) (*Graph, map[string]NodeID) {
 	g := New()
 	ids := map[string]NodeID{}
 	for _, name := range []string{"main", "helper", "leaf", "island"} {
-		ids[name] = g.AddNode("method", map[string]string{"name": name})
+		ids[name] = g.AddNodeKV("method", "name", name)
 	}
 	mustEdge := func(a, b string) {
 		t.Helper()
@@ -26,174 +26,106 @@ func buildSample(t *testing.T) (*Graph, map[string]NodeID) {
 
 func TestAddAndLookup(t *testing.T) {
 	g, ids := buildSample(t)
-	if g.NodeCount() != 4 || g.EdgeCount() != 2 {
-		t.Fatalf("counts = %d nodes %d edges", g.NodeCount(), g.EdgeCount())
-	}
-	if n := g.Node(ids["main"]); n == nil || n.Prop("name") != "main" {
+	f := g.Freeze()
+	if n := f.Node(ids["main"]); n == nil || n.Prop("name") != "main" || n.Label != "method" {
 		t.Fatalf("node lookup failed: %+v", n)
 	}
-	if got := g.NodesByLabel("method"); len(got) != 4 {
+	if n := f.Node(5); n != nil {
+		t.Fatalf("node beyond the graph = %+v", n)
+	}
+	if got := f.NodesByLabel("method"); len(got) != 4 {
 		t.Fatalf("by label = %v", got)
 	}
-	if got := g.FindByProp("name", "leaf"); len(got) != 1 || got[0] != ids["leaf"] {
-		t.Fatalf("FindByProp = %v", got)
-	}
-}
-
-// TestFindByPropSeesNewNodes: the property scan answers from the
-// current node set, so nodes added after an earlier lookup are found.
-func TestFindByPropSeesNewNodes(t *testing.T) {
-	g, ids := buildSample(t)
-	if got := g.FindByProp("name", "helper"); !sameIDs(got, []NodeID{ids["helper"]}) {
-		t.Fatalf("FindByProp = %v", got)
-	}
-	id := g.AddNode("method", map[string]string{"name": "helper"})
-	if got := g.FindByProp("name", "helper"); !sameIDs(got, []NodeID{ids["helper"], id}) {
-		t.Fatalf("FindByProp after insert = %v, want [%d %d]", got, ids["helper"], id)
-	}
-}
-
-// TestFindByPropMissingKeyVsEmptyValue: a lookup for value "" matches
-// only nodes that carry key with an empty value, never nodes that lack
-// key, on both the mutable and the frozen view.
-func TestFindByPropMissingKeyVsEmptyValue(t *testing.T) {
-	g := New()
-	empty := g.AddNodeKV("m", "name", "")
-	g.AddNodeKV("m", "other", "x")
-	g.AddNode("m", nil)
-	named := g.AddNodeKV("m", "name", "a")
-	fz := g.Freeze()
-	for view, find := range map[string]func(string, string) []NodeID{
-		"graph": g.FindByProp, "frozen": fz.FindByProp,
-	} {
-		if got := find("name", ""); !sameIDs(got, []NodeID{empty}) {
-			t.Errorf("%s FindByProp(name, \"\") = %v, want [%d]", view, got, empty)
-		}
-		if got := find("name", "a"); !sameIDs(got, []NodeID{named}) {
-			t.Errorf("%s FindByProp(name, a) = %v, want [%d]", view, got, named)
-		}
-		if got := find("nosuch", ""); len(got) != 0 {
-			t.Errorf("%s FindByProp(nosuch, \"\") = %v, want none", view, got)
-		}
+	if d := f.OutDegree(ids["main"]) + f.OutDegree(ids["helper"]) + f.OutDegree(ids["leaf"]); d != 2 {
+		t.Fatalf("edges = %d", d)
 	}
 }
 
 func TestEdgesRequireNodes(t *testing.T) {
 	g := New()
-	id := g.AddNode("x", nil)
+	id := g.AddNodeKV("x")
 	if err := g.AddEdge(id, 999, "e"); err == nil {
 		t.Error("edge to unknown node accepted")
 	}
 	if err := g.AddEdge(999, id, "e"); err == nil {
 		t.Error("edge from unknown node accepted")
 	}
+	if err := g.AddEdge(0, id, "e"); err == nil {
+		t.Error("edge from node 0 accepted")
+	}
 }
 
 func TestReachable(t *testing.T) {
 	g, ids := buildSample(t)
-	seen := g.Reachable([]NodeID{ids["main"]}, []string{"calls"})
+	f := g.Freeze()
+	seen := f.ReachableVisit([]NodeID{ids["main"]}, []string{"calls"})
 	for _, name := range []string{"main", "helper", "leaf"} {
-		if !seen[ids[name]] {
+		if !seen.Has(ids[name]) {
 			t.Errorf("%s not reachable", name)
 		}
 	}
-	if seen[ids["island"]] {
+	if seen.Has(ids["island"]) {
 		t.Error("island reachable")
 	}
 	// Label filtering: no "calls" edges allowed means only the seed.
-	seen = g.Reachable([]NodeID{ids["main"]}, []string{"other"})
-	if len(seen) != 1 {
-		t.Errorf("label filter ignored: %v", seen)
+	seen = f.ReachableVisit([]NodeID{ids["main"]}, []string{"other"})
+	if seen.Len() != 1 {
+		t.Errorf("label filter ignored: %v", seen.Order)
 	}
 }
 
 func TestPath(t *testing.T) {
 	g, ids := buildSample(t)
-	path := g.Path(ids["main"], ids["leaf"], nil)
+	f := g.Freeze()
+	path := f.Path(ids["main"], ids["leaf"], nil)
 	if len(path) != 3 || path[0] != ids["main"] || path[2] != ids["leaf"] {
 		t.Fatalf("path = %v", path)
 	}
-	if p := g.Path(ids["main"], ids["island"], nil); p != nil {
+	if p := f.Path(ids["main"], ids["island"], nil); p != nil {
 		t.Fatalf("phantom path = %v", p)
 	}
-	if p := g.Path(ids["main"], 999, nil); p != nil {
+	if p := f.Path(ids["main"], 999, nil); p != nil {
 		t.Fatalf("path to unknown node = %v", p)
 	}
 	// Path to self is the single node.
-	if p := g.Path(ids["main"], ids["main"], nil); len(p) != 1 {
+	if p := f.Path(ids["main"], ids["main"], nil); len(p) != 1 {
 		t.Fatalf("self path = %v", p)
 	}
 }
 
-func TestQueryTraversal(t *testing.T) {
-	g, ids := buildSample(t)
-	got := g.Query("method").Where("name", "main").Out("calls").Collect()
-	if len(got) != 1 || got[0] != ids["helper"] {
-		t.Fatalf("query = %v", got)
-	}
-	got = g.Query("method").Where("name", "leaf").In("calls").Collect()
-	if len(got) != 1 || got[0] != ids["helper"] {
-		t.Fatalf("reverse query = %v", got)
-	}
-	n := g.Query("method").WhereFunc(func(n *Node) bool { return n.Prop("name") != "island" }).Count()
-	if n != 3 {
-		t.Fatalf("WhereFunc count = %d", n)
-	}
-	if nodes := g.QueryFrom(ids["main"]).Out("calls").Nodes(); len(nodes) != 1 || nodes[0].Prop("name") != "helper" {
-		t.Fatalf("QueryFrom = %v", nodes)
-	}
-}
-
-// TestAdjacencySymmetryProperty: every out edge is visible from its
-// target's in-list, and path endpoints are correct, over random graphs.
-func TestAdjacencySymmetryProperty(t *testing.T) {
+// TestPathIsEdgeWalkProperty: over random graphs, any path Path
+// reports starts and ends at the asked endpoints and each hop is a
+// real out-edge.
+func TestPathIsEdgeWalkProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := New()
 		n := 2 + r.Intn(20)
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.AddNode("n", nil)
+			ids[i] = g.AddNodeKV("n")
 		}
 		for i := 0; i < n*2; i++ {
-			a, b := ids[r.Intn(n)], ids[r.Intn(n)]
-			if err := g.AddEdge(a, b, "e"); err != nil {
+			if err := g.AddEdge(ids[r.Intn(n)], ids[r.Intn(n)], "e"); err != nil {
 				return false
 			}
 		}
-		// symmetry
-		for _, id := range ids {
-			for _, to := range g.Out(id, "e") {
-				found := false
-				for _, back := range g.In(to, "e") {
-					if back == id {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-		// any reported path is a real edge walk
+		fz := g.Freeze()
 		from, to := ids[r.Intn(n)], ids[r.Intn(n)]
-		path := g.Path(from, to, nil)
-		if path != nil {
-			if path[0] != from || path[len(path)-1] != to {
-				return false
+		path := fz.Path(from, to, nil)
+		if path == nil {
+			return true
+		}
+		if path[0] != from || path[len(path)-1] != to {
+			return false
+		}
+		for i := 0; i+1 < len(path); i++ {
+			hop := false
+			for _, nxt := range fz.OutInto(nil, path[i], "") {
+				hop = hop || nxt == path[i+1]
 			}
-			for i := 0; i+1 < len(path); i++ {
-				hop := false
-				for _, nxt := range g.Out(path[i], "") {
-					if nxt == path[i+1] {
-						hop = true
-						break
-					}
-				}
-				if !hop {
-					return false
-				}
+			if !hop {
+				return false
 			}
 		}
 		return true
@@ -211,51 +143,55 @@ func TestReachableMatchesPath(t *testing.T) {
 		n := 2 + r.Intn(15)
 		ids := make([]NodeID, n)
 		for i := range ids {
-			ids[i] = g.AddNode("n", nil)
+			ids[i] = g.AddNodeKV("n")
 		}
 		for i := 0; i < n; i++ {
 			_ = g.AddEdge(ids[r.Intn(n)], ids[r.Intn(n)], "e")
 		}
+		fz := g.Freeze()
 		from, to := ids[r.Intn(n)], ids[r.Intn(n)]
-		reach := g.Reachable([]NodeID{from}, nil)
-		path := g.Path(from, to, nil)
-		return reach[to] == (path != nil)
+		reach := fz.ReachableVisit([]NodeID{from}, nil)
+		return reach.Has(to) == (fz.Path(from, to, nil) != nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestOutEdgesCopies(t *testing.T) {
+// TestOutIntoCopies: OutInto appends after whatever dst holds, and the
+// caller may mutate the result without corrupting the view.
+func TestOutIntoCopies(t *testing.T) {
 	g, ids := buildSample(t)
-	edges := g.OutEdges(ids["main"])
-	if len(edges) != 1 || edges[0].To != ids["helper"] {
-		t.Fatalf("edges = %+v", edges)
+	f := g.Freeze()
+	got := f.OutInto([]NodeID{42}, ids["main"], "")
+	if !sameIDs(got, []NodeID{42, ids["helper"]}) {
+		t.Fatalf("OutInto = %v", got)
 	}
-	// Mutating the copy must not corrupt the graph.
-	edges[0].To = 999
-	if g.Out(ids["main"], "calls")[0] != ids["helper"] {
-		t.Fatal("graph mutated through OutEdges copy")
+	got[1] = 999
+	if again := f.OutInto(nil, ids["main"], "calls"); !sameIDs(again, []NodeID{ids["helper"]}) {
+		t.Fatalf("view mutated through OutInto result: %v", again)
 	}
 }
 
 func TestReachableFromUnknownSeed(t *testing.T) {
 	g, _ := buildSample(t)
-	if seen := g.Reachable([]NodeID{12345}, nil); len(seen) != 0 {
-		t.Fatalf("unknown seed reachable set = %v", seen)
+	f := g.Freeze()
+	if seen := f.ReachableVisit([]NodeID{12345, 0, -1}, nil); seen.Len() != 0 || seen.Has(12345) {
+		t.Fatalf("unknown seed reachable set = %v", seen.Order)
 	}
 }
 
-// TestFindByPropFreshSlices: repeated lookups agree, and each returns
-// a fresh slice the caller may mutate without affecting the graph.
-func TestFindByPropFreshSlices(t *testing.T) {
+// TestNodesByLabelFreshSlices: repeated lookups agree, and each returns
+// a fresh slice the caller may mutate without affecting the view.
+func TestNodesByLabelFreshSlices(t *testing.T) {
 	g, ids := buildSample(t)
-	first := g.FindByProp("name", "main")
-	if !sameIDs(first, []NodeID{ids["main"]}) {
-		t.Fatalf("FindByProp = %v", first)
+	f := g.Freeze()
+	first := f.NodesByLabel("method")
+	if len(first) != 4 || first[0] != ids["main"] {
+		t.Fatalf("NodesByLabel = %v", first)
 	}
 	first[0] = 999
-	if got := g.FindByProp("name", "main"); !sameIDs(got, []NodeID{ids["main"]}) {
-		t.Fatalf("FindByProp after caller mutation = %v", got)
+	if got := f.NodesByLabel("method"); got[0] != ids["main"] {
+		t.Fatalf("NodesByLabel after caller mutation = %v", got)
 	}
 }

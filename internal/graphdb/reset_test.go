@@ -21,7 +21,7 @@ func buildTagged(g *Graph, seed int64, tag string) {
 		label := nodeLabels[r.Intn(len(nodeLabels))]
 		switch r.Intn(3) {
 		case 0:
-			g.AddNode(label, nil)
+			g.AddNodeKV(label)
 		case 1:
 			g.AddNodeKV(label, "name", fmt.Sprintf("%sv%d", tag, r.Intn(4)))
 		default:
@@ -40,48 +40,39 @@ func buildTagged(g *Graph, seed int64, tag string) {
 // way over the vocabulary of tags, else a description of the first
 // difference. want was built with the last tag.
 func frozenDiff(got, want *Frozen, tags []string) string {
-	if got.NodeCount() != want.NodeCount() || got.EdgeCount() != want.EdgeCount() {
+	if len(got.nodes) != len(want.nodes) || len(got.outTo) != len(want.outTo) {
 		return fmt.Sprintf("counts %d/%d vs %d/%d",
-			got.NodeCount(), got.EdgeCount(), want.NodeCount(), want.EdgeCount())
+			len(got.nodes), len(got.outTo), len(want.nodes), len(want.outTo))
 	}
-	wantNodes := want.Nodes()
-	for i, n := range got.Nodes() {
-		w := wantNodes[i]
-		if n.ID != w.ID || n.Label != w.Label || !reflect.DeepEqual(n.Props, w.Props) {
-			return fmt.Sprintf("node %d: %+v vs %+v", i+1, *n, *w)
+	n := NodeID(len(want.nodes))
+	for id := NodeID(1); id <= n; id++ {
+		g, w := got.Node(id), want.Node(id)
+		if g.ID != w.ID || g.Label != w.Label || !reflect.DeepEqual(g.Props, w.Props) {
+			return fmt.Sprintf("node %d: %+v vs %+v", id, *g, *w)
 		}
 	}
-	var nodeLabels, edgeLabels, values []string
+	var nodeLabels, edgeLabels []string
 	for _, tag := range tags {
 		nodeLabels = append(nodeLabels, tag+"class", tag+"method", tag+"stmt")
 		edgeLabels = append(edgeLabels, tag+"calls", tag+"cfg", tag+"du")
-		values = append(values, tag+"k", tag+"v0", tag+"v1", tag+"v2", tag+"v3")
 	}
 	for _, label := range nodeLabels {
 		if g, w := got.NodesByLabel(label), want.NodesByLabel(label); !sameIDs(g, w) {
 			return fmt.Sprintf("NodesByLabel(%q): %v vs %v", label, g, w)
 		}
 	}
-	for _, key := range []string{"name", "kind"} {
-		for _, val := range append(values, "") {
-			if g, w := got.FindByProp(key, val), want.FindByProp(key, val); !sameIDs(g, w) {
-				return fmt.Sprintf("FindByProp(%q,%q): %v vs %v", key, val, g, w)
-			}
-		}
-	}
 	cur := tags[len(tags)-1]
-	n := NodeID(want.NodeCount())
 	for id := NodeID(1); id <= n; id++ {
 		for _, label := range append(edgeLabels, "") {
-			if g, w := got.Out(id, label), want.Out(id, label); !sameIDs(g, w) {
-				return fmt.Sprintf("Out(%d,%q): %v vs %v", id, label, g, w)
-			}
-			if g, w := got.In(id, label), want.In(id, label); !sameIDs(g, w) {
-				return fmt.Sprintf("In(%d,%q): %v vs %v", id, label, g, w)
+			if g, w := got.OutInto(nil, id, label), want.OutInto(nil, id, label); !sameIDs(g, w) {
+				return fmt.Sprintf("OutInto(%d,%q): %v vs %v", id, label, g, w)
 			}
 		}
-		for _, to := range []NodeID{1, n/2 + 1, n, id} {
-			for _, labels := range [][]string{nil, {cur + "calls", cur + "cfg"}} {
+		for _, labels := range [][]string{nil, {cur + "calls", cur + "cfg"}} {
+			if g, w := got.ReachableVisit([]NodeID{id}, labels), want.ReachableVisit([]NodeID{id}, labels); !sameIDs(g.Order, w.Order) {
+				return fmt.Sprintf("ReachableVisit(%d,%v): %v vs %v", id, labels, g.Order, w.Order)
+			}
+			for _, to := range []NodeID{1, n/2 + 1, n, id} {
 				if g, w := got.Path(id, to, labels), want.Path(id, to, labels); !sameIDs(g, w) {
 					return fmt.Sprintf("Path(%d,%d,%v): %v vs %v", id, to, labels, g, w)
 				}
@@ -96,7 +87,7 @@ func frozenDiff(got, want *Frozen, tags []string) string {
 // labels and property values into the reused graph, and its Frozen view
 // must equal that of New() built the same way: nothing from earlier
 // graphs (larger or smaller, frozen or not) may leak into nodes,
-// adjacency runs, label lists, property lookups or paths.
+// adjacency runs, label lists, closures or paths.
 func TestResetMatchesFreshGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
